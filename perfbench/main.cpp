@@ -4,7 +4,8 @@
 //
 //   pelican_perfbench --workload fleet_uniform|fleet_hot_publish|privacy_audit
 //                     --seed N --seconds S --trace 0|1 --work-dir DIR
-//                     [--small] [--perturb flip_id|stale_version|serial_score]
+//                     [--small]
+//                     [--perturb flip_id|stale_version|serial_score|leak]
 //
 // The last stdout line is "PERFBENCH_RESULT {json}" with every metric the run
 // measured; earlier lines are the human-readable report. The exit code is 0
@@ -75,10 +76,12 @@ std::string result_json(const perfbench::Outcome& outcome) {
 
 /// Confines this process, and everything it later starts, to one CPU: the
 /// highest-numbered one it may use (the lowest ones usually take the
-/// device interrupts). On a small VM a thread waking another on an idle
-/// CPU pays a hypervisor wake-up whose cost varies several-fold from run
-/// to run with the load of the host; on one CPU, hand-offs are plain
-/// context switches and the figures measure the stack's own work.
+/// device interrupts). Used by the fleet workloads only: on a small VM a
+/// router thread waking an engine thread on an idle CPU pays a hypervisor
+/// wake-up whose cost varies several-fold from run to run with the load of
+/// the host; on one CPU, hand-offs are plain context switches and the
+/// figures measure the stack's own work. The audit keeps every CPU, so its
+/// pool-parallel attack and kernel work scale as they would in use.
 bool pin_to_one_cpu() {
   cpu_set_t allowed;
   CPU_ZERO(&allowed);
@@ -95,11 +98,6 @@ bool pin_to_one_cpu() {
 }
 
 int main(int argc, char** argv) {
-  // Before any thread exists, so every thread and engine inherits it.
-  if (!pin_to_one_cpu()) {
-    std::cerr << "pelican_perfbench: cannot pin to one CPU\n";
-    return 2;
-  }
   perfbench::Options options;
   options.engined = PERFBENCH_SHIM_PATH;
   for (int i = 1; i < argc; ++i) {
@@ -136,6 +134,13 @@ int main(int argc, char** argv) {
       !(options.seconds > 0.0)) {
     return usage();
   }
+  const bool fleet = options.workload == "fleet_uniform" ||
+                     options.workload == "fleet_hot_publish";
+  // Before any thread exists, so every thread and engine inherits it.
+  if (fleet && !pin_to_one_cpu()) {
+    std::cerr << "pelican_perfbench: cannot pin to one CPU\n";
+    return 2;
+  }
 
   // Die with the launcher (run.py), and let engine launchers verify that
   // this process is still their parent.
@@ -147,8 +152,7 @@ int main(int argc, char** argv) {
 
   perfbench::Outcome outcome;
   try {
-    if (options.workload == "fleet_uniform" ||
-        options.workload == "fleet_hot_publish") {
+    if (fleet) {
       outcome = perfbench::run_fleet(options);
     } else if (options.workload == "privacy_audit") {
       outcome = perfbench::run_audit(options);

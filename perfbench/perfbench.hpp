@@ -23,8 +23,9 @@ struct Options {
   bool trace = false;
   /// Small sizes for the self-test (256 users, fewer windows).
   bool small = false;
-  /// Self-test fault: corrupt one reference so the matching check fails
-  /// ("flip_id", "stale_version" or "serial_score"); empty = none.
+  /// Self-test fault: corrupt one reference ("flip_id", "stale_version",
+  /// "serial_score") or the top-3 leakage of later time-based passes
+  /// ("leak"), so the matching check fails; empty = none.
   std::string perturb;
   /// Scratch directory for stores and caches (removed by the caller).
   std::filesystem::path work_dir;

@@ -18,7 +18,10 @@ measured with instrumentation off; with --trace 1 they are its per_layer
 set, from a run with router instrumentation on and benchmark trace ids on
 every request (spans go to .bench_out/). perfbench/workloads.json records
 why each workload exists, which layers it stresses and bypasses, and which
-per-layer metrics it cannot measure (reported as 0).
+per-layer metrics it cannot measure (reported as 0). A traced run may add a
+second workload ("traced_run_adds"): fleet_uniform's adds privacy_audit,
+which BENCHMARK.json does not list, so that the attack, model and audit-side
+nn layers are measured in every traced run of the benchmark.
 
 Exit code: 0 when every correctness check passed, 1 when a check failed or
 the watchdog fired, 2 when the benchmark could not be built or run.
@@ -41,7 +44,8 @@ BUILD_DIR = ROOT / ".bench_build" / "perfbench"
 BINARY = BUILD_DIR / "pelican_perfbench"
 WORK_ROOT = ROOT / ".bench_work"
 SPANS_DIR = ROOT / ".bench_out"
-# The binary must finish well inside the 180 s a run may take.
+# The binary (both binaries of a run, when its traced run adds a second
+# workload) must finish well inside the 180 s a run may take.
 WATCHDOG_S = 150.0
 RESULT_PREFIX = "PERFBENCH_RESULT "
 
@@ -174,6 +178,30 @@ def execute(args, watchdog_s=WATCHDOG_S, on_start=None):
     return code, result, fired, progress, text
 
 
+def measure(args, workloads):
+    """Runs one workload, and for a traced run also the workload that its
+    entry in workloads.json names under "traced_run_adds", whose per-layer
+    metrics it then reports too. Returns what execute() returns; a merged
+    result passes only if both runs passed."""
+    start = time.monotonic()
+    code, result, fired, progress, text = execute(args)
+    adds = workloads["workloads"][args.workload].get("traced_run_adds")
+    if not args.trace or adds is None or fired or result is None:
+        return code, result, fired, progress, text
+    extra = argparse.Namespace(**{**vars(args), "workload": adds["workload"],
+                                  "seconds": adds["seconds"]})
+    budget = max(5.0, WATCHDOG_S - (time.monotonic() - start))
+    code2, result2, fired2, progress2, text2 = execute(extra, watchdog_s=budget)
+    progress = (progress[0] + progress2[0], progress[1] + progress2[1])
+    if fired2 or result2 is None:
+        return code2 if code2 else 2, None, fired2, progress, text + text2
+    merged = {"correct": bool(result["correct"] and result2["correct"]),
+              "attempted": int(result["attempted"]) + int(result2["attempted"]),
+              "failed": int(result["failed"]) + int(result2["failed"]),
+              "metrics": {**result2["metrics"], **result["metrics"]}}
+    return max(code, code2), merged, False, progress, text + text2
+
+
 def select_metrics(result, workload, trace, spec, workloads):
     """The declared metric set for this mode, with declared units.
 
@@ -204,7 +232,7 @@ def run_once(args):
     if args.workload not in workloads["workloads"]:
         log(f"unknown workload {args.workload}")
         return 2
-    code, result, fired, (attempted, failed), _ = execute(args)
+    code, result, fired, (attempted, failed), _ = measure(args, workloads)
     if fired:
         print(json.dumps({"correct": False, "attempted": max(attempted, 1),
                           "failed": max(failed, 1), "metrics": {}}))
@@ -259,13 +287,18 @@ def selftest():
     def fingerprint(text):
         return [line for line in text if "stream fingerprint" in line]
 
+    def leakage(result):
+        return {name: value for name, value in result["metrics"].items()
+                if name.startswith("attack.leak_top3.")}
+
     # 1. Every workload emits every declared metric, with its unit, in both
     #    modes, and passes its checks. The seed fixes the request stream:
     #    the same seed repeats it, another seed changes it, and the metric
     #    set stays the same.
     for workload in workloads["workloads"]:
         for trace in (0, 1):
-            code, result, _, _, text = execute(small(workload, trace))
+            code, result, _, _, text = measure(small(workload, trace),
+                                               workloads)
             check(code == 0 and result is not None and result["correct"],
                   f"{workload} trace={trace}: runs and passes its checks")
             if result is not None:
@@ -275,7 +308,7 @@ def selftest():
                       f"declared metric with its unit {problems or ''}")
             if trace == 0:
                 first, first_text = result, text
-        _, _, _, _, again_text = execute(small(workload))
+        _, again, _, _, again_text = execute(small(workload))
         _, other, _, _, other_text = execute(small(workload, seed=2))
         check(bool(fingerprint(first_text)) and
               fingerprint(first_text) == fingerprint(again_text) and
@@ -285,14 +318,24 @@ def selftest():
         check(None not in (first, other) and
               set(first["metrics"]) == set(other["metrics"]),
               f"{workload}: seed 2 reports the same metric set")
+        if workload == "privacy_audit":
+            check(None not in (first, again) and leakage(first) and
+                  leakage(first) == leakage(again),
+                  f"{workload}: two runs of seed 1 leak the same top-3 "
+                  f"shares {leakage(first) if first else ''}")
 
-    # 2. A perturbed reference fails the matching check.
-    for workload, perturb in (("fleet_uniform", "flip_id"),
-                              ("fleet_hot_publish", "stale_version"),
-                              ("privacy_audit", "serial_score")):
-        code, result, _, _, _ = execute(small(workload, perturb=perturb))
+    # 2. A perturbed reference, or a perturbed leakage in later time-based
+    #    passes, fails the matching check.
+    for workload, trace, perturb in (("fleet_uniform", 0, "flip_id"),
+                                     ("fleet_hot_publish", 0, "stale_version"),
+                                     ("privacy_audit", 0, "serial_score"),
+                                     ("privacy_audit", 0, "leak"),
+                                     ("fleet_uniform", 1, "serial_score")):
+        code, result, _, _, _ = measure(small(workload, trace, perturb),
+                                        workloads)
         check(code == 1 and result is not None and not result["correct"],
-              f"{workload} with perturbed reference ({perturb}) fails")
+              f"{workload} trace={trace} with perturbed reference "
+              f"({perturb}) fails")
 
     # 3. The watchdog kills an overlong run and its engines.
     args = small("fleet_uniform", seconds=30)
