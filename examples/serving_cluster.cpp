@@ -315,7 +315,7 @@ int main() {
     }
     std::cout << "\n";
 
-    const auto fleet_snap = front_door.fleet_stats();
+    const auto fleet_snap = front_door.fleet_metrics().stats;
     std::cout << "fleet stats (merged across 3 processes): "
               << fleet_snap.requests_served << " served, mean batch "
               << Table::num(fleet_snap.mean_batch_size, 2) << ", engine p99 "

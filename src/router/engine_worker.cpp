@@ -196,9 +196,6 @@ std::vector<std::uint8_t> EngineWorker::handle_frame(
       case Verb::kHealth: {
         return encode_health_reply({registry_.size(), draining()});
       }
-      case Verb::kStats: {
-        return encode_stats_reply(scheduler_->stats().state());
-      }
       case Verb::kMetrics: {
         EngineMetricsReport report;
         report.stats = scheduler_->stats().state();

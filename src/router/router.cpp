@@ -1,6 +1,10 @@
 #include "router/router.hpp"
 
+#include <poll.h>
+
 #include <algorithm>
+#include <array>
+#include <climits>
 #include <map>
 #include <optional>
 #include <stdexcept>
@@ -13,19 +17,75 @@ namespace pelican::router {
 
 namespace {
 
-std::chrono::steady_clock::duration millis(double ms) {
-  return std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+using Clock = std::chrono::steady_clock;
+
+Clock::duration millis(double ms) {
+  return std::chrono::duration_cast<Clock::duration>(
       std::chrono::duration<double, std::milli>(ms));
+}
+
+/// One request/reply on a fresh connection, never the pool: the pool may be
+/// what is hung, or torn down (quarantined backends).
+std::vector<std::uint8_t> fresh_exchange(const Address& address,
+                                         std::span<const std::uint8_t> frame,
+                                         double timeout_ms) {
+  Socket socket = Socket::connect_to(address);
+  socket.set_io_timeout(timeout_ms);
+  socket.send_frame(frame);
+  return socket.recv_frame();
+}
+
+/// One health-verb round trip. Always a fresh connection: the pool (and
+/// everything parked in it) may be exactly what is wedged.
+bool probe(const Address& address, double timeout_ms) {
+  try {
+    (void)decode_health_reply(
+        fresh_exchange(address, encode_health(), timeout_ms));
+    return true;
+  } catch (const std::exception&) {
+    return false;
+  }
+}
+
+/// The point `timeout_ms` from now; never (max) when <= 0 disables it.
+Clock::time_point deadline_after(double timeout_ms) {
+  return timeout_ms > 0.0 ? Clock::now() + millis(timeout_ms)
+                          : Clock::time_point::max();
 }
 
 }  // namespace
 
-Router::Router(RouterConfig config)
-    : config_(config),
-      partitioner_(config.partitions, config.virtual_nodes) {
-  if (config_.pool_connections == 0) {
-    throw std::invalid_argument("Router: pool_connections must be > 0");
+/// One owning backend's slice of a serve() round.
+struct Router::Group {
+  std::string address;
+  std::vector<std::size_t> indices;
+  std::vector<std::uint8_t> frame;
+  double timeout_ms = 0.0;
+  Clock::time_point hedge_at = Clock::time_point::max();  ///< max = never
+  /// [0] the primary exchange, [1] the hedge; empty = not in flight.
+  std::array<Lease, 2> leases;
+  std::array<Clock::time_point, 2> deadlines{};
+  /// user → version the hedge deployed. A hedge reply carrying an OLDER
+  /// one lost a race with a concurrent hedge's stale re-deploy.
+  std::map<std::uint32_t, std::uint32_t> hedge_versions;
+  bool done = false;
+  bool answered = false;
+  bool timed_out = false;  ///< the primary hit its deadline
+  bool failed = false;     ///< the primary hit a transport error
+  bool hedge_won = false;
+  std::uint64_t sent_ns = 0;
+  std::uint64_t hedge_start_ns = 0;  ///< 0 = no hedge fired
+  std::uint64_t done_ns = 0;
+
+  /// Closes connection `slot`; the primary's loss is the group's verdict.
+  void drop(std::size_t slot, bool timeout) {
+    leases[slot].reset();
+    if (slot == 0) (timeout ? timed_out : failed) = true;
   }
+};
+
+Router::Router(RouterConfig config)
+    : config_(config), partitioner_(kPartitions, kVirtualNodes) {
   using obs::Stage;
   wire_serialize_hist_ =
       &metrics_.histogram(obs::stage_metric_name(Stage::kWireSerialize));
@@ -61,11 +121,8 @@ std::size_t Router::add_backend(const std::string& address) {
   auto backend = std::make_shared<Backend>(address);
   // Health-check before admitting: a typo'd address must fail the add, not
   // the first serve. Throws WireError when unreachable.
-  {
-    const auto reply =
-        exchange(*backend, encode_health(), config_.request_timeout_ms);
-    (void)decode_health_reply(reply);
-  }
+  (void)decode_health_reply(
+      exchange(backend, encode_health(), config_.request_timeout_ms));
   const MutexLock lock(mutex_);
   // A quarantined address is NOT re-added here: the recovery prober owns
   // its way back (double membership would split its partitions).
@@ -82,172 +139,139 @@ std::shared_ptr<Router::Backend> Router::find_backend(
   return it->second;
 }
 
-std::vector<std::uint8_t> Router::exchange(Backend& backend,
-                                           std::span<const std::uint8_t> frame,
-                                           double timeout_ms,
-                                           ExchangeCancel* cancel,
-                                           bool clears_strikes) {
-  for (int attempt = 0;; ++attempt) {
-    Socket socket;
-    bool from_pool = false;
-    {
-      MutexLock lock(backend.pool_mutex);
-      while (backend.alive.load() && backend.idle.empty() &&
-             backend.open_connections >= config_.pool_connections) {
-        lock.wait(backend.pool_cv);
-      }
-      if (!backend.alive.load()) {
-        throw WireError("backend dead: " + backend.address);
-      }
-      if (!backend.idle.empty()) {
-        socket = std::move(backend.idle.back());
-        backend.idle.pop_back();
-        from_pool = true;
-      } else {
-        ++backend.open_connections;  // reserve a slot, connect off-lock
-      }
+void Router::Lease::reset(bool reuse) noexcept {
+  if (backend == nullptr) return;
+  if (reuse) socket.set_io_timeout(0);  // pooled connections block at rest
+  {
+    const MutexLock lock(backend->pool_mutex);
+    if (reuse && backend->alive.load()) {
+      backend->idle.push_back(std::move(socket));
+    } else {
+      --backend->open_connections;  // closed, or the pool is torn down
     }
-    if (!from_pool) {
-      try {
-        socket = Socket::connect_to(backend.parsed);
-      } catch (...) {
-        const MutexLock lock(backend.pool_mutex);
-        --backend.open_connections;
-        backend.pool_cv.notify_one();
-        throw;
-      }
+    backend->pool_cv.notify_one();
+  }
+  socket.close();
+  backend.reset();
+}
+
+Router::Lease Router::acquire(const std::shared_ptr<Backend>& backend,
+                              bool wait) {
+  Lease lease;
+  {
+    MutexLock lock(backend->pool_mutex);
+    while (wait && backend->alive.load() && backend->idle.empty() &&
+           backend->open_connections >= kPoolConnections) {
+      lock.wait(backend->pool_cv);
     }
-    socket.set_io_timeout(timeout_ms);
-    if (cancel != nullptr) {
-      const MutexLock lock(cancel->mutex);
-      if (cancel->cancelled) {
-        // The race is already decided; hand the untouched connection back.
-        const MutexLock pool_lock(backend.pool_mutex);
-        if (backend.alive.load()) {
-          backend.idle.push_back(std::move(socket));
-        } else {
-          --backend.open_connections;
-        }
-        backend.pool_cv.notify_one();
-        throw WireError("exchange cancelled: " + backend.address);
-      }
-      cancel->active = &socket;
+    if (!backend->alive.load()) {
+      throw WireError("backend dead: " + backend->address);
     }
-    // The in-flight socket must be de-registered before it leaves this
-    // frame (pool hand-back or discard): a late cancel() must never
-    // shut down a socket someone else now owns.
-    const auto unregister = [cancel] {
-      if (cancel != nullptr) {
-        const MutexLock lock(cancel->mutex);
-        cancel->active = nullptr;
-      }
-    };
+    if (!backend->idle.empty()) {
+      lease.socket = std::move(backend->idle.back());
+      backend->idle.pop_back();
+      lease.from_pool = true;
+    } else if (backend->open_connections < kPoolConnections) {
+      ++backend->open_connections;  // reserve a slot, connect off-lock
+    } else {
+      return lease;  // full pool, and the caller may not wait
+    }
+    lease.backend = backend;
+  }
+  // A failed connect throws; the lease's destructor frees the slot.
+  if (!lease.from_pool) lease.socket = Socket::connect_to(backend->parsed);
+  return lease;
+}
+
+bool Router::renew(Lease& lease) {
+  if (!lease.from_pool) return false;
+  lease.from_pool = false;
+  reconnects_counter_->add();
+  lease.socket = Socket::connect_to(lease.backend->parsed);
+  return true;
+}
+
+std::vector<std::uint8_t> Router::send(Lease& lease,
+                                       std::span<const std::uint8_t> frame,
+                                       double timeout_ms, bool await_reply) {
+  for (;;) {
     try {
-      socket.send_frame(frame);
-      std::vector<std::uint8_t> reply = socket.recv_frame();
-      unregister();
-      socket.set_io_timeout(0);  // pooled connections are blocking at rest
-      {
-        const MutexLock lock(backend.pool_mutex);
-        if (backend.alive.load()) {
-          backend.idle.push_back(std::move(socket));
-        } else {
-          --backend.open_connections;  // pool is being torn down
-        }
-        backend.pool_cv.notify_one();
-      }
-      if (clears_strikes) {
-        backend.timeout_strikes.store(0, std::memory_order_relaxed);
-      }
-      return reply;
+      lease.socket.set_io_timeout(timeout_ms);
+      lease.socket.send_frame(frame);
+      if (!await_reply) return {};
+      return lease.socket.recv_frame();
     } catch (const WireTimeout&) {
-      // Mid-exchange deadline: the connection's state is unknown, discard
-      // it. Never retried here — the caller owns the hung-engine handling.
-      unregister();
-      const MutexLock lock(backend.pool_mutex);
-      --backend.open_connections;
-      backend.pool_cv.notify_one();
-      throw;
+      throw;  // the connection's state is unknown; never retried here
     } catch (const WireError&) {
-      unregister();
-      {
-        const MutexLock lock(backend.pool_mutex);
-        --backend.open_connections;
-        backend.pool_cv.notify_one();
-      }
-      if (cancel != nullptr && cancel->was_cancelled()) throw;
-      if (from_pool && attempt == 0) {
-        // A pooled connection can rot while parked (the engine restarted:
-        // first reuse sees EPIPE/ECONNRESET). That says nothing about the
-        // backend NOW — retry once on a fresh connection before declaring
-        // it dead. Every wire verb is idempotent (reads trivially; deploy/
-        // publish re-install the same version; drain re-requests a drain),
-        // and the failed send/recv never delivered a reply, so re-issuing
-        // the frame is safe.
-        reconnects_counter_->add();
-        continue;
-      }
-      throw;
-    } catch (...) {
-      unregister();
-      const MutexLock lock(backend.pool_mutex);
-      --backend.open_connections;
-      backend.pool_cv.notify_one();
-      throw;
+      if (!renew(lease)) throw;
     }
   }
 }
 
-void Router::handle_backend_failure(const std::string& address,
-                                    std::uint64_t trace_id) {
-  remove_backend(address, /*stash_quarantined=*/false, trace_id);
+std::vector<std::uint8_t> Router::exchange(
+    const std::shared_ptr<Backend>& backend,
+    std::span<const std::uint8_t> frame, double timeout_ms) {
+  Lease lease = acquire(backend, /*wait=*/true);
+  std::vector<std::uint8_t> reply =
+      send(lease, frame, timeout_ms, /*await_reply=*/true);
+  lease.reset(/*reuse=*/true);
+  return reply;
 }
 
-void Router::quarantine_backend(const std::string& address,
-                                std::uint64_t trace_id) {
-  remove_backend(address, /*stash_quarantined=*/true, trace_id);
-}
-
-void Router::remove_backend(const std::string& address,
-                            bool stash_quarantined, std::uint64_t trace_id) {
+void Router::remove_backend(const std::string& address, bool quarantine,
+                            std::uint64_t trace_id) {
+  const MutexLock membership(membership_mutex_);
+  const HedgeFence fence(*this);
   std::shared_ptr<Backend> backend;
-  std::vector<std::pair<std::uint32_t, Deployment>> to_redeploy;
+  std::vector<Move> moving;
   {
     const MutexLock lock(mutex_);
     const auto it = backends_.find(address);
-    if (it == backends_.end() || !it->second->alive.load()) {
-      return;  // another thread already removed this backend
-    }
+    if (it == backends_.end()) return;  // another thread removed it first
     backend = it->second;
-    backend->alive.store(false);
-    // The users about to move are exactly those the removed backend owned —
-    // collect them BEFORE the repartition so the ledger walk and the
-    // ownership table agree.
+    // The users about to move are exactly those the removed backend owns;
+    // their next owners come from the table as it WILL be.
+    Partitioner next = partitioner_;
+    (void)next.remove_backend(address);
+    // Never quarantine the last live backend: a slow fleet still answers,
+    // an empty one rejects everything.
+    if (next.backend_count() == 0 && quarantine) return;
     for (const auto& [user, record] : ledger_) {
-      if (partitioner_.owner_of(user) == address) {
-        to_redeploy.emplace_back(user, record);
+      if (next.backend_count() > 0 && partitioner_.owner_of(user) == address) {
+        moving.push_back({user, record, backends_.at(next.owner_of(user))});
       }
     }
-    partitioner_.remove_backend(address);
-    backends_.erase(it);
-    if (stash_quarantined) {
+  }
+  // Failover re-deploy, BEFORE the ownership table switches, so no
+  // concurrent serve() reaches a new owner that lacks its user (meanwhile a
+  // dead old owner fails fast, a hung one is hedged). The shared store
+  // still holds every model. Best-effort: a failing next owner has its own
+  // failover.
+  for (;;) {
+    redeploy(moving);
+    const MutexLock lock(mutex_);
+    if (!settle(moving)) continue;
+    backend->alive.store(false);
+    (void)partitioner_.remove_backend(address);
+    backends_.erase(address);
+    if (quarantine) {
       backend->quarantined_at_ns.store(obs::now_ns(),
                                        std::memory_order_relaxed);
       backend->quarantine_count.fetch_add(1, std::memory_order_relaxed);
       quarantined_.emplace(address, backend);
       quarantines_counter_->add();
     }
+    break;
   }
   // Membership transitions always journal (they are rare and are the
   // events an operator greps for first); trace_id ties the quarantine to
   // the request whose timeout tripped it.
-  events_.emit(stash_quarantined ? obs::EventType::kQuarantine
-                                 : obs::EventType::kFailover,
-               address,
-               stash_quarantined
-                   ? "suspected hung; partitions moved, watching for recovery"
-                   : "transport failure; partitions moved",
-               trace_id);
+  events_.emit(
+      quarantine ? obs::EventType::kQuarantine : obs::EventType::kFailover,
+      address,
+      quarantine ? "suspected hung; partitions moved, watching for recovery"
+                 : "transport failure; partitions moved",
+      trace_id);
   {
     // Tear down the pool and wake any thread parked waiting for a
     // connection slot — they observe !alive and fail over themselves.
@@ -256,32 +280,29 @@ void Router::remove_backend(const std::string& address,
     backend->idle.clear();
     backend->pool_cv.notify_all();
   }
-  // Failover re-deploy: the fleet-shared store still holds every model, so
-  // surviving owners just pull the same (user, version) keys. Best-effort —
-  // a cascading failure here is handled by its own failover, and a fully
-  // dead fleet surfaces as rejected responses.
-  for (const auto& [user, record] : to_redeploy) {
+}
+
+void Router::redeploy(const std::vector<Move>& moves) {
+  for (const Move& move : moves) {
     try {
-      (void)admin_to_owner(
-          user, encode_deploy(
-                    {user, record.version, record.temperature, record.spec}));
+      (void)fresh_exchange(move.target->parsed, move.record.frame(move.user),
+                           config_.request_timeout_ms);
     } catch (const std::exception&) {
     }
   }
 }
 
-bool Router::probe_backend(Backend& backend) {
-  // Always a fresh connection: the pool (and everything parked in it) may
-  // be exactly what is wedged.
-  try {
-    Socket socket = Socket::connect_to(backend.parsed);
-    socket.set_io_timeout(config_.probe_timeout_ms);
-    socket.send_frame(encode_health());
-    (void)decode_health_reply(socket.recv_frame());
-    return true;
-  } catch (const std::exception&) {
-    return false;
+bool Router::settle(std::vector<Move>& moves) {
+  std::vector<Move> stale;
+  for (Move& move : moves) {
+    const auto it = ledger_.find(move.user);
+    if (it != ledger_.end() && it->second.version != move.record.version) {
+      move.record = it->second;
+      stale.push_back(std::move(move));
+    }
   }
+  moves.swap(stale);
+  return moves.empty();
 }
 
 void Router::handle_backend_timeout(const std::string& address,
@@ -291,11 +312,11 @@ void Router::handle_backend_timeout(const std::string& address,
   if (backend == nullptr) return;  // already removed or quarantined
   const std::uint64_t strikes =
       backend->timeout_strikes.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (strikes >= config_.quarantine_after_timeouts) {
+  if (strikes >= kQuarantineAfterTimeouts) {
     // Persistently slow is hung for the caller's purposes, whatever the
     // health verb says (its handler thread may be fine while predict
     // handlers are livelocked).
-    quarantine_backend(address, trace_id);
+    remove_backend(address, /*quarantine=*/true, trace_id);
     return;
   }
   // Rate-limit the suspicion probe: a timeout storm across serve threads
@@ -309,42 +330,46 @@ void Router::handle_backend_timeout(const std::string& address,
           last, now, std::memory_order_relaxed)) {
     return;  // a concurrent caller owns this probe
   }
-  if (!probe_backend(*backend)) quarantine_backend(address, trace_id);
+  if (!probe(backend->parsed, config_.probe_timeout_ms)) {
+    remove_backend(address, /*quarantine=*/true, trace_id);
+  }
 }
 
 void Router::unquarantine_backend(const std::string& address) {
-  std::vector<std::pair<std::uint32_t, Deployment>> to_redeploy;
+  const MutexLock membership(membership_mutex_);
+  const HedgeFence fence(*this);
+  std::shared_ptr<Backend> backend;
+  std::vector<Move> regained;
   {
     const MutexLock lock(mutex_);
     const auto it = quarantined_.find(address);
     if (it == quarantined_.end()) return;
-    const std::shared_ptr<Backend> backend = it->second;
-    quarantined_.erase(it);
+    backend = it->second;
+    Partitioner next = partitioner_;
+    (void)next.add_backend(address);
+    for (const auto& [user, record] : ledger_) {
+      if (next.owner_of(user) == address) {
+        regained.push_back({user, record, backend});
+      }
+    }
+  }
+  // Re-deploy the users this backend is about to own BEFORE its partitions
+  // move back: it may have missed deploys/publishes while quarantined, and
+  // deploys are idempotent.
+  for (;;) {
+    redeploy(regained);
+    const MutexLock lock(mutex_);
+    if (!settle(regained)) continue;
+    if (quarantined_.erase(address) == 0) return;  // drained meanwhile
     backend->alive.store(true);
     backend->timeout_strikes.store(0, std::memory_order_relaxed);
     backends_.emplace(address, backend);
     (void)partitioner_.add_backend(address);
-    // The partitions just moved back; re-deploy the users this backend now
-    // owns. It likely still holds their models, but it may have missed
-    // deploys/publishes while quarantined — deploys are idempotent, so
-    // re-issuing from the ledger reconciles it with the fleet's truth.
-    for (const auto& [user, record] : ledger_) {
-      if (partitioner_.owner_of(user) == address) {
-        to_redeploy.emplace_back(user, record);
-      }
-    }
     unquarantines_counter_->add();
+    break;
   }
   events_.emit(obs::EventType::kUnquarantine, address,
                "probe answered past hold-down; partitions restored");
-  for (const auto& [user, record] : to_redeploy) {
-    try {
-      (void)admin_to_owner(
-          user, encode_deploy(
-                    {user, record.version, record.temperature, record.spec}));
-    } catch (const std::exception&) {
-    }
-  }
 }
 
 bool Router::in_quarantine_holddown(const Backend& backend) const {
@@ -383,17 +408,11 @@ void Router::probe_loop() {
     }
     for (const auto& backend : suspects) {
       if (in_quarantine_holddown(*backend)) continue;
-      if (probe_backend(*backend)) unquarantine_backend(backend->address);
+      if (probe(backend->parsed, config_.probe_timeout_ms)) {
+        unquarantine_backend(backend->address);
+      }
     }
   }
-}
-
-std::string Router::hedge_candidate(const std::string& owner) const {
-  const auto live = live_backends();  // sorted
-  if (live.size() < 2) return {};
-  auto it = std::upper_bound(live.begin(), live.end(), owner);
-  if (it == live.end()) it = live.begin();
-  return *it == owner ? std::string{} : *it;
 }
 
 double Router::resolve_hedge_delay() const {
@@ -407,17 +426,17 @@ double Router::resolve_hedge_delay() const {
   // timeout (hedges stay rare either way, and the budget caps them).
   constexpr std::uint64_t kMinSamples = 64;
   if (fanout_hist_->count() >= kMinSamples) {
-    return std::max(config_.hedge_min_delay_ms,
-                    fanout_hist_->percentile(99.0));
+    return std::max(kHedgeMinDelayMs, fanout_hist_->percentile(99.0));
   }
   const double fallback = config_.request_timeout_ms > 0.0
                               ? config_.request_timeout_ms / 4.0
                               : 500.0;
-  return std::max(config_.hedge_min_delay_ms, fallback);
+  return std::max(kHedgeMinDelayMs, fallback);
 }
 
 Ack Router::admin_to_owner(std::uint32_t user,
-                           const std::vector<std::uint8_t>& frame) {
+                           const std::vector<std::uint8_t>& frame,
+                           std::string* answered) {
   // One failover retry: the first attempt discovers a dead owner at most
   // once, the second runs against the repartitioned fleet.
   for (int attempt = 0; attempt < 2; ++attempt) {
@@ -431,16 +450,18 @@ Ack Router::admin_to_owner(std::uint32_t user,
     }
     const auto backend = find_backend(owner);
     if (backend == nullptr) {
-      handle_backend_failure(owner);
+      remove_backend(owner);
       continue;
     }
     try {
-      return decode_ack(
-          exchange(*backend, frame, config_.request_timeout_ms));
+      const Ack ack =
+          decode_ack(exchange(backend, frame, config_.request_timeout_ms));
+      if (answered != nullptr) *answered = owner;
+      return ack;
     } catch (const WireTimeout&) {
       handle_backend_timeout(owner);
     } catch (const WireError&) {
-      handle_backend_failure(owner);
+      remove_backend(owner);
     }
   }
   throw WireError("no live backend for user " + std::to_string(user));
@@ -485,18 +506,28 @@ void Router::deploy(std::uint32_t user, std::uint32_t version,
 }
 
 void Router::publish(std::uint32_t user, std::uint32_t version) {
-  const Ack ack = admin_to_owner(user, encode_publish({user, version}));
-  if (!ack.ok) {
-    throw std::runtime_error("Router: publish of user " +
-                             std::to_string(user) + " v" +
-                             std::to_string(version) +
-                             " refused: " + ack.message);
+  // A membership change re-checks the ledger before it switches owners
+  // (settle); one that switched this user between the engine's ack and the
+  // ledger write below missed this version, so the new owner gets it too.
+  for (std::string owner;;) {
+    const Ack ack =
+        admin_to_owner(user, encode_publish({user, version}), &owner);
+    if (!ack.ok) {
+      throw std::runtime_error("Router: publish of user " +
+                               std::to_string(user) + " v" +
+                               std::to_string(version) +
+                               " refused: " + ack.message);
+    }
+    const MutexLock lock(mutex_);
+    const auto it = ledger_.find(user);
+    if (it != ledger_.end()) it->second.version = version;
+    if (partitioner_.backend_count() == 0 ||
+        partitioner_.owner_of(user) == owner) {
+      break;
+    }
   }
   events_.emit(obs::EventType::kPublish, "user " + std::to_string(user),
                "v" + std::to_string(version) + " live (stall-free swap)");
-  const MutexLock lock(mutex_);
-  const auto it = ledger_.find(user);
-  if (it != ledger_.end()) it->second.version = version;
 }
 
 std::vector<serve::PredictResponse> Router::serve(
@@ -531,13 +562,18 @@ std::vector<serve::PredictResponse> Router::serve(
     }
   }
   std::vector<obs::Span> spans;  // router-side spans, committed at the end
-  Mutex spans_mutex;             // forwarding threads append concurrently
+  const auto record = [&](obs::Stage stage, obs::Histogram* hist,
+                          std::uint64_t start_ns, std::uint64_t end_ns) {
+    spans.push_back({stage, start_ns, end_ns - start_ns});
+    hist->observe(spans.back().duration_ms());
+  };
 
   std::vector<serve::PredictResponse> responses(reqs.size());
   std::vector<std::size_t> remaining(reqs.size());
   for (std::size_t i = 0; i < reqs.size(); ++i) remaining[i] = i;
 
   const double hedge_delay = resolve_hedge_delay();
+  const std::uint64_t trace = trace_ids.empty() ? 0 : trace_ids.front();
 
   std::size_t attempts = 0;
   {
@@ -562,8 +598,7 @@ std::vector<serve::PredictResponse> Router::serve(
           deadline_shed_counter_->add();
           ++shed;
           responses[i].user_id = reqs[i].user_id;
-          responses[i].ok = false;
-          responses[i].rejected = true;
+          responses[i].rejected = true;  // ok stays false
         } else {
           alive_requests.push_back(i);
         }
@@ -577,7 +612,7 @@ std::vector<serve::PredictResponse> Router::serve(
                          std::to_string(shed + alive_requests.size()) +
                          " requests past deadline in round " +
                          std::to_string(round),
-                     trace_ids.empty() ? 0 : trace_ids.front());
+                     trace);
       }
       remaining.swap(alive_requests);
       if (remaining.empty()) break;
@@ -585,325 +620,197 @@ std::vector<serve::PredictResponse> Router::serve(
 
     // Group the outstanding requests by owning backend. std::map keys the
     // groups by address, so the fan-out order is deterministic.
-    std::map<std::string, std::vector<std::size_t>> groups;
+    std::map<std::string, std::vector<std::size_t>> owners;
     {
       const MutexLock lock(mutex_);
       if (partitioner_.backend_count() == 0) break;
       for (const std::size_t i : remaining) {
-        groups[partitioner_.owner_of(reqs[i].user_id)].push_back(i);
+        owners[partitioner_.owner_of(reqs[i].user_id)].push_back(i);
       }
     }
 
-    std::vector<std::pair<std::string, std::vector<std::size_t>>> fan_out(
-        groups.begin(), groups.end());
-    std::vector<std::vector<std::size_t>> failed(fan_out.size());
+    std::vector<Group> groups;
+    groups.reserve(owners.size());
 
-    // One short-lived forwarding thread per owning backend. Deliberately
-    // NOT ThreadPool::global(): these bodies BLOCK on socket I/O, which
-    // would park compute workers the in-process engine path and attack
-    // scoring share, and parallel_for serializes concurrent submissions —
-    // two client threads in serve() would serialize their network waits.
-    // Spawn cost (~tens of µs) is noise against a wire round trip.
-    auto forward = [&](std::size_t g) {
-      const auto& [address, indices] = fan_out[g];
+    // Send every group's batch. Primary leases are taken in address order,
+    // so a call waiting on a full pool holds leases only on backends sorted
+    // before it: concurrent calls cannot wait in a cycle.
+    for (const auto& [address, indices] : owners) {
+      Group& group = groups.emplace_back();
+      group.address = address;
+      group.indices = indices;
       const auto backend = find_backend(address);
-      if (backend == nullptr) {
-        failed[g] = indices;
-        return;
-      }
+      if (backend == nullptr) continue;  // unanswered: retried next round
       // Build the batch with DECREMENTED budgets: the engine's admission
       // check must see what is left after the router's own time, not the
       // caller's original allowance.
       std::vector<serve::PredictRequest> batch;
       batch.reserve(indices.size());
       double max_remaining_ms = 0.0;
-      {
-        const double elapsed_ms = watch.milliseconds();
-        for (const std::size_t i : indices) {
-          serve::PredictRequest request = reqs[i];
-          if (request.deadline_ms > 0.0) {
-            request.deadline_ms =
-                std::max(0.001, request.deadline_ms - elapsed_ms);
-            max_remaining_ms = std::max(max_remaining_ms, request.deadline_ms);
-          }
-          batch.push_back(std::move(request));
+      const double elapsed_ms = watch.milliseconds();
+      for (const std::size_t i : indices) {
+        serve::PredictRequest request = reqs[i];
+        if (request.deadline_ms > 0.0) {
+          request.deadline_ms =
+              std::max(0.001, request.deadline_ms - elapsed_ms);
+          max_remaining_ms = std::max(max_remaining_ms, request.deadline_ms);
         }
+        batch.push_back(std::move(request));
       }
       // The exchange deadline: the configured timeout, tightened to the
       // batch's largest remaining budget (no point waiting for answers
       // whose readers have all given up).
-      double timeout_ms = config_.request_timeout_ms;
+      group.timeout_ms = config_.request_timeout_ms;
       if (max_remaining_ms > 0.0) {
-        timeout_ms = timeout_ms <= 0.0
-                         ? max_remaining_ms
-                         : std::min(timeout_ms, max_remaining_ms);
+        group.timeout_ms = group.timeout_ms <= 0.0
+                               ? max_remaining_ms
+                               : std::min(group.timeout_ms, max_remaining_ms);
       }
 
-      {
-        auto& injector = fault::Injector::global();
-        if (injector.active()) {
-          injector.sleep_for(injector.decide("router.exchange", address));
-        }
+      auto& injector = fault::Injector::global();
+      if (injector.active()) {
+        injector.sleep_for(injector.decide("router.exchange", address));
       }
 
       const std::uint64_t encode_start_ns = instrument ? obs::now_ns() : 0;
-      const auto frame = encode_predict_batch(batch);
-      const std::uint64_t sent_ns = instrument ? obs::now_ns() : 0;
-      forwards_.fetch_add(1, std::memory_order_relaxed);
-
-      // The primary exchange runs in its own thread so this (coordinator)
-      // thread can fire a hedge when the reply is late. All race state
-      // lives under one mutex; the cancel token lets the winner sever the
-      // loser's socket.
-      struct RaceState {
-        Mutex mutex;
-        std::condition_variable cv;
-        bool primary_done PELICAN_GUARDED_BY(mutex) = false;
-        bool primary_timeout PELICAN_GUARDED_BY(mutex) = false;
-        bool primary_failed PELICAN_GUARDED_BY(mutex) = false;
-        bool have_result PELICAN_GUARDED_BY(mutex) = false;
-        bool hedge_won PELICAN_GUARDED_BY(mutex) = false;
-        std::vector<serve::PredictResponse> result PELICAN_GUARDED_BY(mutex);
-      } race;
-      ExchangeCancel cancel;
-
-      std::thread primary([&] {
-        try {
-          const auto reply = exchange(*backend, frame, timeout_ms, &cancel,
-                                      /*clears_strikes=*/true);
-          auto decoded = decode_predict_replies(reply);
-          if (decoded.size() != indices.size()) {
-            throw WireError("predict reply count mismatch from " + address);
-          }
-          const MutexLock lock(race.mutex);
-          race.primary_done = true;
-          if (!race.have_result) {
-            race.have_result = true;
-            race.result = std::move(decoded);
-          }
-        } catch (const WireTimeout&) {
-          const MutexLock lock(race.mutex);
-          race.primary_done = true;
-          race.primary_timeout = true;
-        } catch (const std::exception&) {
-          const MutexLock lock(race.mutex);
-          race.primary_done = true;
-          race.primary_failed = true;
-        }
-        race.cv.notify_all();
-      });
-
-      // Wait for the primary up to the hedge delay (forever when hedging
-      // is off — the exchange timeout still bounds the wait).
-      bool primary_late = false;
-      {
-        MutexLock lock(race.mutex);
-        if (hedge_delay >= 0.0) {
-          const auto hedge_at =
-              std::chrono::steady_clock::now() + millis(hedge_delay);
-          while (!race.primary_done) {
-            if (!lock.wait_until(race.cv, hedge_at)) break;  // delay elapsed
-          }
-        } else {
-          while (!race.primary_done) lock.wait(race.cv);
-        }
-        primary_late = !race.primary_done;
-      }
-
-      // Hedge: the primary is late, the budget allows another duplicate,
-      // and the fleet has a second choice.
-      bool hedged = false;
-      std::uint64_t hedge_start_ns = 0;
-      if (primary_late && hedge_delay >= 0.0) {
-        const std::uint64_t fired =
-            hedges_fired_.load(std::memory_order_relaxed);
-        const std::uint64_t total = forwards_.load(std::memory_order_relaxed);
-        const bool budget_ok =
-            static_cast<double>(fired + 1) <=
-            config_.hedge_budget_fraction * static_cast<double>(total);
-        const std::string target =
-            budget_ok ? hedge_candidate(address) : std::string{};
-        const auto target_backend =
-            target.empty() ? nullptr : find_backend(target);
-        if (target_backend != nullptr) {
-          hedged = true;
-          hedge_start_ns = obs::now_ns();
-          hedges_fired_.fetch_add(1, std::memory_order_relaxed);
-          hedges_counter_->add();
-          try {
-            // The hedge target may not hold these users yet: re-deploy
-            // them from the ledger first. Deploys are idempotent, and the
-            // target pulls the SAME (user, version) artifacts from the
-            // shared store — which is why the hedged answer is
-            // bit-identical to the primary's and taking whichever comes
-            // first is sound.
-            std::vector<std::uint32_t> users;
-            for (const std::size_t i : indices) {
-              if (std::find(users.begin(), users.end(), reqs[i].user_id) ==
-                  users.end()) {
-                users.push_back(reqs[i].user_id);
-              }
-            }
-            for (const std::uint32_t user : users) {
-              std::optional<Deployment> record;
-              {
-                const MutexLock lock(mutex_);
-                const auto it = ledger_.find(user);
-                if (it != ledger_.end()) record = it->second;
-              }
-              if (!record.has_value()) {
-                throw WireError("hedge: user " + std::to_string(user) +
-                                " not in ledger");
-              }
-              const Ack ack = decode_ack(exchange(
-                  *target_backend,
-                  encode_deploy({user, record->version, record->temperature,
-                                 record->spec}),
-                  config_.request_timeout_ms));
-              if (!ack.ok) {
-                throw WireError("hedge deploy refused: " + ack.message);
-              }
-            }
-            const auto reply =
-                exchange(*target_backend, frame, timeout_ms,
-                         /*cancel=*/nullptr, /*clears_strikes=*/true);
-            auto decoded = decode_predict_replies(reply);
-            if (decoded.size() != indices.size()) {
-              throw WireError("predict reply count mismatch from " + target);
-            }
-            bool winner = false;
-            {
-              const MutexLock lock(race.mutex);
-              if (!race.have_result) {
-                race.have_result = true;
-                race.hedge_won = true;
-                race.result = std::move(decoded);
-                winner = true;
-              }
-            }
-            if (winner) {
-              hedge_wins_counter_->add();
-              if (instrument) {
-                events_.emit(obs::EventType::kHedgeWin, target,
-                             "duplicate read beat " + address,
-                             trace_ids.empty() ? 0 : trace_ids.front());
-              }
-              cancel.cancel();  // sever the straggling primary
-            }
-          } catch (const std::exception&) {
-            // The hedge lost or failed; the primary (or the next retry
-            // round) still owns this slice. Hedge failures never fail the
-            // TARGET over — it was drafted in, not proven guilty.
-          }
-        }
-      }
-
-      // Wait out the primary — bounded by its exchange timeout, or by the
-      // hedge winner severing its socket.
-      {
-        MutexLock lock(race.mutex);
-        while (!race.primary_done) lock.wait(race.cv);
-      }
-      primary.join();
-
-      bool have_result = false;
-      bool hedge_won = false;
-      bool primary_timeout = false;
-      bool primary_failed = false;
-      std::vector<serve::PredictResponse> result;
-      {
-        const MutexLock lock(race.mutex);
-        have_result = race.have_result;
-        hedge_won = race.hedge_won;
-        primary_timeout = race.primary_timeout;
-        primary_failed = race.primary_failed;
-        result = std::move(race.result);
-      }
-
-      if (have_result) {
-        for (std::size_t j = 0; j < indices.size(); ++j) {
-          responses[indices[j]] = std::move(result[j]);
-        }
-      } else {
-        failed[g] = indices;
-      }
-
+      group.frame = encode_predict_batch(batch);
+      group.sent_ns = instrument ? obs::now_ns() : 0;
       if (instrument) {
-        const std::uint64_t done_ns = obs::now_ns();
-        const MutexLock lock(spans_mutex);
-        spans.push_back({obs::Stage::kWireSerialize, encode_start_ns,
-                         sent_ns - encode_start_ns});
-        spans.push_back(
-            {obs::Stage::kRouterFanout, sent_ns, done_ns - sent_ns});
-        if (hedged) {
-          spans.push_back(
-              {obs::Stage::kHedge, hedge_start_ns, done_ns - hedge_start_ns});
+        record(obs::Stage::kWireSerialize, wire_serialize_hist_,
+               encode_start_ns, group.sent_ns);
+      }
+      forwards_.fetch_add(1, std::memory_order_relaxed);
+      try {
+        group.leases[0] = acquire(backend, /*wait=*/true);
+        (void)send(group.leases[0], group.frame, group.timeout_ms);
+        group.deadlines[0] = deadline_after(group.timeout_ms);
+        if (hedge_delay >= 0.0) {
+          group.hedge_at = Clock::now() + millis(hedge_delay);
         }
+      } catch (const WireTimeout&) {
+        group.drop(0, /*timeout=*/true);
+      } catch (const WireError&) {
+        group.drop(0, /*timeout=*/false);
       }
-
-      // Post-mortem on the primary path. A timeout (or losing the hedge
-      // race) is the HUNG-engine signal: probe and maybe quarantine. A
-      // transport error is the dead-engine signal — unless the error was
-      // our own cancel().
-      const std::uint64_t group_trace =
-          trace_ids.empty() ? 0 : trace_ids.front();
-      if (primary_timeout) {
-        handle_backend_timeout(address, group_trace);
-      } else if (primary_failed && !cancel.was_cancelled()) {
-        handle_backend_failure(address, group_trace);
-      } else if (hedge_won) {
-        handle_backend_timeout(address, group_trace);
-      }
-    };
-    if (fan_out.size() == 1) {
-      forward(0);
-    } else {
-      std::vector<std::thread> threads;
-      threads.reserve(fan_out.size());
-      for (std::size_t g = 0; g < fan_out.size(); ++g) {
-        threads.emplace_back(forward, g);
-      }
-      for (auto& thread : threads) thread.join();
     }
 
+    // One poll() set drives every exchange: replies, hedge times and
+    // deadlines, until each group is answered or out of options.
+    std::vector<pollfd> fds;
+    std::vector<std::pair<Group*, std::size_t>> slots;
+    for (;;) {
+      fds.clear();
+      slots.clear();
+      Clock::time_point wake = Clock::time_point::max();
+      for (Group& group : groups) {
+        if (group.done) continue;
+        bool in_flight = false;
+        for (std::size_t k = 0; k < 2; ++k) {
+          if (group.leases[k].backend == nullptr) continue;
+          in_flight = true;
+          fds.push_back({group.leases[k].socket.fd(), POLLIN, 0});
+          slots.emplace_back(&group, k);
+          wake = std::min(wake, group.deadlines[k]);
+        }
+        if (!in_flight) {  // out of options: unanswered
+          group.done = true;
+          group.done_ns = obs::now_ns();
+        }
+        if (group.leases[0].backend != nullptr) {
+          wake = std::min(wake, group.hedge_at);
+        }
+      }
+      if (fds.empty()) break;
+
+      // (No deadline at all — blocking mode — clamps to ~24 days.)
+      const auto wait =
+          std::chrono::ceil<std::chrono::milliseconds>(wake - Clock::now());
+      const int timeout =
+          static_cast<int>(std::clamp<std::int64_t>(wait.count(), 0, INT_MAX));
+      // Read what is ready; expire what is unread past its deadline (its
+      // state is unknown: closed). Read first, so a reply that arrived
+      // during a blocking hedge still counts.
+      const int ready = ::poll(fds.data(), fds.size(), timeout);
+      const Clock::time_point now = Clock::now();
+      for (std::size_t i = 0; i < fds.size(); ++i) {
+        auto [group, k] = slots[i];
+        if (group->done) continue;
+        if (ready > 0 && fds[i].revents != 0) {
+          receive(*group, k, trace, instrument, responses);
+        } else if (now >= group->deadlines[k]) {
+          group->drop(k, /*timeout=*/true);
+        }
+      }
+      // At most one hedge per pass: its re-deploys block, so replies that
+      // arrive meanwhile are read (freeing their leases) first.
+      for (Group& group : groups) {
+        if (!group.done && group.leases[0].backend != nullptr &&
+            now >= group.hedge_at) {
+          hedge(group, reqs, hedge_delay);
+          break;
+        }
+      }
+    }
+
+    // Every lease is released now, so the post-mortems below (which may
+    // re-deploy users over the pools) cannot wait on this call's sockets.
     remaining.clear();
-    for (const auto& slice : failed) {
-      remaining.insert(remaining.end(), slice.begin(), slice.end());
+    for (const Group& group : groups) {
+      if (!group.answered) {
+        remaining.insert(remaining.end(), group.indices.begin(),
+                         group.indices.end());
+      }
+      if (group.frame.empty()) continue;  // never forwarded
+      if (instrument) {
+        record(obs::Stage::kRouterFanout, fanout_hist_, group.sent_ns,
+               group.done_ns);
+        if (group.hedge_start_ns != 0) {
+          record(obs::Stage::kHedge, hedge_hist_, group.hedge_start_ns,
+                 group.done_ns);
+        }
+      }
+      // A timeout (or losing the hedge race) is the HUNG-engine signal:
+      // probe and maybe quarantine. A transport error is the dead-engine
+      // signal.
+      if (group.timed_out) {
+        handle_backend_timeout(group.address, trace);
+      } else if (group.failed) {
+        remove_backend(group.address, /*quarantine=*/false, trace);
+      } else if (group.hedge_won) {
+        handle_backend_timeout(group.address, trace);
+      }
     }
     if (instrument && round > 0) {
       // Rounds past the first exist only because a backend failed: the
       // whole round is failover work, visible as its own span.
-      spans.push_back({obs::Stage::kFailoverRetry, round_start_ns,
-                       obs::now_ns() - round_start_ns});
+      record(obs::Stage::kFailoverRetry, failover_hist_, round_start_ns,
+             obs::now_ns());
     }
     if (!remaining.empty() && attempts > 0) {
       // Exponential backoff between retry rounds: the repartition already
       // happened synchronously, so this only paces a flapping fleet, never
       // the first failover.
       retry_rounds_counter_->add();
-      const double backoff_ms =
-          std::min(config_.retry_backoff_max_ms,
-                   config_.retry_backoff_base_ms *
-                       static_cast<double>(1ULL << std::min<std::size_t>(
-                                               round, 10)));
-      if (backoff_ms > 0.0 && round > 0) {
-        std::this_thread::sleep_for(millis(backoff_ms));
+      if (round > 0) {
+        const auto doublings = std::min<std::size_t>(round, 10);
+        std::this_thread::sleep_for(millis(
+            std::min(kRetryBackoffMaxMs,
+                     kRetryBackoffBaseMs *
+                         static_cast<double>(std::uint64_t{1} << doublings))));
       }
     }
     ++round;
   }
 
-  // Requests that survived every retry round with no live owner.
+  // Requests that survived every retry round with no live owner (never
+  // answered, so their responses are still default: ok = false).
   for (const std::size_t i : remaining) {
-    serve::PredictResponse response;
-    response.user_id = reqs[i].user_id;
-    response.ok = false;
-    response.rejected = true;
-    responses[i] = response;
+    responses[i].user_id = reqs[i].user_id;
+    responses[i].rejected = true;
   }
 
   // Router-side accounting: end-to-end latency including wire + failover.
-  // (Engine-side latency/batch stats live in fleet_stats().)
+  // (Engine-side latency/batch stats live in fleet_metrics().stats.)
   const double latency_ms = watch.milliseconds();
   for (auto& response : responses) {
     response.latency_ms = latency_ms;
@@ -916,24 +823,6 @@ std::vector<serve::PredictResponse> Router::serve(
     }
   }
   if (instrument && !spans.empty()) {
-    for (const obs::Span& span : spans) {
-      switch (span.stage) {
-        case obs::Stage::kWireSerialize:
-          wire_serialize_hist_->observe(span.duration_ms());
-          break;
-        case obs::Stage::kRouterFanout:
-          fanout_hist_->observe(span.duration_ms());
-          break;
-        case obs::Stage::kFailoverRetry:
-          failover_hist_->observe(span.duration_ms());
-          break;
-        case obs::Stage::kHedge:
-          hedge_hist_->observe(span.duration_ms());
-          break;
-        default:
-          break;
-      }
-    }
     for (const std::uint64_t id : trace_ids) {
       traces_.record(id, spans);
       traces_.finish(id, latency_ms);
@@ -942,21 +831,140 @@ std::vector<serve::PredictResponse> Router::serve(
   return responses;
 }
 
-serve::ServerStats::Snapshot Router::fleet_stats() {
-  serve::ServerStats fleet;
-  for (const auto& address : live_backends()) {
-    const auto backend = find_backend(address);
-    if (backend == nullptr) continue;
+void Router::hedge(Group& group, std::span<const serve::PredictRequest> reqs,
+                   double hedge_delay) {
+  group.hedge_at = Clock::time_point::max();
+  // Hedge only when the budget allows another duplicate and the fleet has
+  // a second choice.
+  const std::uint64_t fired = hedges_fired_.load(std::memory_order_relaxed);
+  const std::uint64_t total = forwards_.load(std::memory_order_relaxed);
+  if (static_cast<double>(fired + 1) >
+      config_.hedge_budget_fraction * static_cast<double>(total)) {
+    return;
+  }
+  // The target: the next live backend after the owner in address order.
+  const auto live = live_backends();  // sorted
+  auto next = std::upper_bound(live.begin(), live.end(), group.address);
+  if (next == live.end()) next = live.begin();
+  const auto target = live.size() < 2 || *next == group.address
+                          ? nullptr
+                          : find_backend(*next);
+  if (target == nullptr) return;
+  // Never wait for the target's pool: this call holds unread leases, so
+  // waiting could close a cycle with another call. A full pool defers the
+  // hedge (skipping it would wait out the whole exchange timeout).
+  Lease lease;
+  try {
+    lease = acquire(target, /*wait=*/false);
+  } catch (const WireError&) {
+    return;
+  }
+  // Hedge re-deploys and membership changes exclude each other (see
+  // HedgeFence), so an older ledger snapshot never lands on a backend
+  // around its ownership switch. A change in progress defers the hedge.
+  hedging_.fetch_add(1);
+  if (lease.backend == nullptr || changing_.load()) {
+    hedging_.fetch_sub(1);
+    group.hedge_at = Clock::now() + millis(hedge_delay);
+    return;
+  }
+
+  group.hedge_start_ns = obs::now_ns();
+  hedges_fired_.fetch_add(1, std::memory_order_relaxed);
+  hedges_counter_->add();
+  try {
+    // The hedge target may not hold these users yet: re-deploy them from
+    // the ledger first. Deploys are idempotent, and the target pulls the
+    // SAME (user, version) artifacts from the shared store — which is why
+    // the hedged answer is bit-identical to the primary's and taking
+    // whichever comes first is sound. A user the target owns by now is
+    // not re-deployed: its membership change put the current version
+    // there, and this snapshot could undo a newer publish.
+    std::map<std::uint32_t, Deployment> records;
+    {
+      const MutexLock lock(mutex_);
+      for (const std::size_t i : group.indices) {
+        const std::uint32_t user = reqs[i].user_id;
+        const auto it = ledger_.find(user);
+        if (it == ledger_.end()) throw WireError("hedge: user not in ledger");
+        group.hedge_versions.emplace(user, it->second.version);
+        if (partitioner_.owner_of(user) != *next) {
+          records.emplace(user, it->second);
+        }
+      }
+    }
+    for (const auto& [user, record] : records) {
+      const Ack ack = decode_ack(send(lease, record.frame(user),
+                                      config_.request_timeout_ms,
+                                      /*await_reply=*/true));
+      if (!ack.ok) throw WireError("hedge deploy refused: " + ack.message);
+    }
+    (void)send(lease, group.frame, group.timeout_ms);
+    group.leases[1] = std::move(lease);
+    group.deadlines[1] = deadline_after(group.timeout_ms);
+  } catch (...) {
+    // The hedge failed; the primary (or the next retry round) still owns
+    // this slice. Hedge failures never fail the TARGET over — it was
+    // drafted in, not proven guilty.
+  }
+  hedging_.fetch_sub(1);
+}
+
+void Router::receive(Group& group, std::size_t slot, std::uint64_t trace,
+                     bool instrument,
+                     std::vector<serve::PredictResponse>& responses) {
+  Lease& lease = group.leases[slot];
+  std::vector<serve::PredictResponse> decoded;
+  try {
     try {
-      fleet.merge(decode_stats_reply(
-          exchange(*backend, encode_stats(), config_.request_timeout_ms)));
+      decoded = decode_predict_replies(lease.socket.recv_frame());
     } catch (const WireTimeout&) {
-      handle_backend_timeout(address);
-    } catch (const std::exception&) {
-      handle_backend_failure(address);
+      throw;
+    } catch (const WireError&) {
+      // A parked connection that rotted: resend once on a fresh one.
+      if (!renew(lease)) throw;
+      (void)send(lease, group.frame, group.timeout_ms);
+      group.deadlines[slot] = deadline_after(group.timeout_ms);
+      return;
+    }
+    if (decoded.size() != group.indices.size()) {
+      throw WireError("predict reply count mismatch from " +
+                      lease.backend->address);
+    }
+    for (const auto& response : decoded) {
+      const auto it = group.hedge_versions.find(response.user_id);
+      if (slot == 1 && it != group.hedge_versions.end() &&
+          response.model_version < it->second) {
+        throw WireError("hedge reply older than its deploy");
+      }
+    }
+  } catch (const WireTimeout&) {
+    group.drop(slot, /*timeout=*/true);
+    return;
+  } catch (const std::exception&) {
+    group.drop(slot, /*timeout=*/false);
+    return;
+  }
+
+  // The first good reply wins; the other connection still owes a reply, so
+  // it is closed, not pooled.
+  lease.backend->timeout_strikes.store(0, std::memory_order_relaxed);
+  for (std::size_t j = 0; j < group.indices.size(); ++j) {
+    responses[group.indices[j]] = std::move(decoded[j]);
+  }
+  group.answered = true;
+  if (slot == 1) {
+    group.hedge_won = true;
+    hedge_wins_counter_->add();
+    if (instrument) {
+      events_.emit(obs::EventType::kHedgeWin, lease.backend->address,
+                   "duplicate read beat " + group.address, trace);
     }
   }
-  return fleet.snapshot();
+  lease.reset(/*reuse=*/true);
+  group.leases[1 - slot].reset();
+  group.done = true;
+  group.done_ns = obs::now_ns();
 }
 
 Router::FleetMetrics Router::fleet_metrics() {
@@ -967,7 +975,7 @@ Router::FleetMetrics Router::fleet_metrics() {
     if (backend == nullptr) continue;
     try {
       EngineMetricsReport report = decode_metrics_reply(
-          exchange(*backend, encode_metrics(), config_.request_timeout_ms));
+          exchange(backend, encode_metrics(), config_.request_timeout_ms));
       for (obs::TraceRecord& rec : report.traces) rec.source = address;
       fleet.merge(report.stats);
       obs::merge_state(out.registry, report.registry);
@@ -978,7 +986,7 @@ Router::FleetMetrics Router::fleet_metrics() {
     } catch (const WireTimeout&) {
       handle_backend_timeout(address);
     } catch (const std::exception&) {
-      handle_backend_failure(address);
+      remove_backend(address);
     }
   }
   out.stats = fleet.snapshot();
@@ -1006,12 +1014,12 @@ std::vector<std::pair<std::string, HealthReply>> Router::fleet_health() {
     try {
       out.emplace_back(address,
                        decode_health_reply(exchange(
-                           *backend, encode_health(),
+                           backend, encode_health(),
                            config_.request_timeout_ms)));
     } catch (const WireTimeout&) {
       handle_backend_timeout(address);
     } catch (const std::exception&) {
-      handle_backend_failure(address);
+      remove_backend(address);
     }
   }
   return out;
@@ -1032,7 +1040,7 @@ void Router::drain_fleet() {
     if (backend == nullptr) continue;
     try {
       (void)decode_ack(
-          exchange(*backend, encode_drain(), config_.drain_timeout_ms));
+          exchange(backend, encode_drain(), config_.drain_timeout_ms));
     } catch (const std::exception&) {
       // Bounded by drain_timeout_ms: a wedged engine is abandoned, not
       // waited on (the drain contract in wire.hpp).
@@ -1050,10 +1058,8 @@ void Router::drain_fleet() {
   }
   for (const auto& backend : quarantined) {
     try {
-      Socket socket = Socket::connect_to(backend->parsed);
-      socket.set_io_timeout(config_.drain_timeout_ms);
-      socket.send_frame(encode_drain());
-      (void)decode_ack(socket.recv_frame());
+      (void)decode_ack(fresh_exchange(backend->parsed, encode_drain(),
+                                      config_.drain_timeout_ms));
     } catch (const std::exception&) {
     }
   }

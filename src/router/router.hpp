@@ -6,20 +6,18 @@
 // stats — and the router turns each call into frames for the owning
 // process:
 //
-//   serve(requests)    groups requests by owning backend, forwards one
-//                      kPredictBatch per backend IN PARALLEL, and returns
+//   serve(requests)    groups requests by owning backend, sends one
+//                      kPredictBatch per backend, waits for every reply in
+//                      ONE poll() loop on the calling thread, and returns
 //                      responses in request order. Responses are
-//                      bit-identical to direct ServingEngine calls: the
-//                      wire carries discretized features and location ids
-//                      only, and the engine runs the same
-//                      predict_top_k_batch.
+//                      bit-identical to direct ServingEngine calls: the wire
+//                      carries discretized features and location ids only,
+//                      and the engine runs the same predict_top_k_batch.
 //   deploy/publish     routed to the owning process only (never broadcast);
 //                      models flow through the fleet-shared
 //                      store::FilesystemBackend, so the wire carries keys,
 //                      and PR 3's stall-free publish contract holds
 //                      end-to-end.
-//   fleet_stats()      pulls every engine's raw ServerStats::State and
-//                      merges them (exact bucket-wise histogram sums).
 //   fleet_metrics()    the full observability pull: per-engine stats +
 //                      stage-latency registries + slow-trace journals,
 //                      exactly merged, with every trace record tagged by
@@ -35,16 +33,16 @@
 // records by trace id.
 //
 // FAILOVER. Any transport error on a backend marks it dead and triggers
-// failover-repartition: the Partitioner drops the backend (moving only its
-// partitions), the router re-issues kDeploy for the dead process's users
-// to their new owners (from its deployment ledger — the store still holds
-// every model), and the failed predict batch is retried against the new
-// owners. Predictions are idempotent reads, so the retry is safe;
+// failover-repartition: the router re-issues kDeploy for the dead
+// process's users to their next owners (from its deployment ledger — the
+// store still holds every model), then the Partitioner drops the backend
+// (moving only its partitions), and the failed predict batch is retried
+// against the new owners. Predictions are idempotent reads, so the retry is safe;
 // publishes are also retried once (installing the same version twice is a
 // no-op by construction). In-flight state lost with the dead process is
 // its ServerStats and queue — never a model, never the ownership map.
-// Retry rounds back off exponentially (retry_backoff_*) so a flapping
-// fleet is not hammered.
+// Retry rounds back off exponentially (kRetryBackoff*) so a flapping fleet
+// is not hammered.
 //
 // TAIL TOLERANCE. Beyond dead backends, the router handles SLOW ones:
 //
@@ -59,15 +57,16 @@
 //                router_fanout stage histogram, or pinned via
 //                hedge_delay_ms), the SAME predict batch is fired at a
 //                second live backend (after re-deploying the users there
-//                from the ledger — deploys are idempotent), and the first
-//                answer wins. Answers are bit-identical by construction
-//                (same store artifact, same kernels), so which copy wins is
-//                unobservable in the response. A hedge budget
+//                from the ledger — deploys are idempotent). The first
+//                readable reply wins; the loser's connection is closed,
+//                never pooled. Answers are bit-identical by construction
+//                (same store artifact, same kernels); a hedge reply older
+//                than its deploy is discarded. A hedge budget
 //                (hedge_budget_fraction) caps hedges to a fraction of
 //                forwards so hedging cannot double fleet load.
 //   quarantine   a backend that times out (WireTimeout) or loses a hedge
 //                race is health-probed with probe_timeout_ms; probe failure
-//                (or quarantine_after_timeouts strikes) QUARANTINES it:
+//                (or kQuarantineAfterTimeouts strikes) QUARANTINES it:
 //                partitions move and users re-deploy exactly like death,
 //                but the Backend is remembered. A recovery thread re-probes
 //                quarantined backends every probe_interval_ms and folds a
@@ -79,7 +78,7 @@
 // concurrently; membership changes serialize on an internal lock, and the
 // connection pools bound per-backend concurrency. Pooled connections that
 // broke while parked (engine restart: EPIPE/ECONNRESET on first use) are
-// transparently replaced with one fresh connect + retry per exchange.
+// transparently replaced with one fresh connect + resend per exchange.
 #pragma once
 
 #include <atomic>
@@ -106,15 +105,23 @@
 
 namespace pelican::router {
 
-struct RouterConfig {
-  /// Partition count of the user space (ownership-table granularity).
-  std::size_t partitions = 64;
-  /// Ring points per backend (evenness of the partition spread).
-  std::size_t virtual_nodes = 16;
-  /// Connection-pool bound per backend: at most this many in-flight
-  /// request/reply exchanges per engine process.
-  std::size_t pool_connections = 4;
+/// Partition count of the user space (ownership-table granularity).
+inline constexpr std::size_t kPartitions = 64;
+/// Ring points per backend (evenness of the partition spread).
+inline constexpr std::size_t kVirtualNodes = 16;
+/// Connection-pool bound per backend: at most this many in-flight
+/// request/reply exchanges per engine process.
+inline constexpr std::size_t kPoolConnections = 4;
+/// Backoff between serve() retry rounds: base * 2^(round-1), capped.
+inline constexpr double kRetryBackoffBaseMs = 5.0;
+inline constexpr double kRetryBackoffMaxMs = 200.0;
+/// Floor of the auto-derived hedge delay.
+inline constexpr double kHedgeMinDelayMs = 10.0;
+/// Quarantine a backend after this many timeout strikes even when its
+/// health probe still answers (persistently slow ≈ hung).
+inline constexpr std::uint64_t kQuarantineAfterTimeouts = 3;
 
+struct RouterConfig {
   /// I/O deadline per request/reply exchange (predict, admin, health pulls).
   /// Expiry throws WireTimeout → the hung-engine path (probe, quarantine),
   /// not the dead-engine path. <= 0 disables (fully blocking, pre-PR 9).
@@ -123,22 +130,15 @@ struct RouterConfig {
   double drain_timeout_ms = 2000.0;
   /// Deadline of one health probe (hung detection + recovery probing).
   double probe_timeout_ms = 250.0;
-  /// Backoff between serve() retry rounds: base * 2^(round-1), capped.
-  double retry_backoff_base_ms = 5.0;
-  double retry_backoff_max_ms = 200.0;
   /// Hedge delay: how long a predict exchange may run before the same
   /// batch is fired at a second backend. 0 = auto: the observed p99 of the
-  /// router_fanout stage histogram (floored at hedge_min_delay_ms), falling
+  /// router_fanout stage histogram (floored at kHedgeMinDelayMs), falling
   /// back to request_timeout_ms / 4 until enough samples exist. < 0
   /// disables hedging.
   double hedge_delay_ms = 0.0;
-  double hedge_min_delay_ms = 10.0;
   /// Hedges may never exceed this fraction of predict forwards (0 also
   /// disables hedging; 1.0 = every forward may hedge).
   double hedge_budget_fraction = 0.1;
-  /// Quarantine a backend after this many timeout strikes even when its
-  /// health probe still answers (persistently slow ≈ hung).
-  std::uint64_t quarantine_after_timeouts = 3;
   /// Recovery cadence: quarantined backends are re-probed this often, and
   /// per-backend suspicion probes are rate-limited to the same interval.
   double probe_interval_ms = 100.0;
@@ -177,21 +177,17 @@ class Router {
   void publish(std::uint32_t user, std::uint32_t version);
 
   /// Forwards `requests` to their owning processes (one batch per backend,
-  /// in parallel) and returns responses in request order. Requests whose
-  /// owner died mid-call are retried on the failover owner; requests that
-  /// exhaust every backend come back ok = false / rejected = true.
+  /// all in flight at once) and returns responses in request order.
+  /// Requests whose owner died mid-call are retried on the failover owner;
+  /// requests that exhaust every backend come back ok = false / rejected =
+  /// true. Runs entirely on the calling thread.
   [[nodiscard]] std::vector<serve::PredictResponse> serve(
       std::span<const serve::PredictRequest> requests);
 
-  /// Merged raw state of every live engine (exact fleet-wide percentiles),
-  /// as a snapshot. Engines that die during collection are skipped (and
-  /// failed over).
-  [[nodiscard]] serve::ServerStats::Snapshot fleet_stats();
-
   /// The full fleet observability pull (kMetrics verb).
   struct FleetMetrics {
-    /// Merged engine ServerStats (same engines-only semantics as
-    /// fleet_stats(); the router's own request view stays in stats()).
+    /// Merged engine ServerStats of every live engine (exact fleet-wide
+    /// percentiles); the router's own request view stays in stats().
     serve::ServerStats::Snapshot stats;
     /// Exact bucket-wise merge of every engine's registry PLUS the
     /// router's own (stage histograms share fixed boundaries, so this is
@@ -220,8 +216,8 @@ class Router {
   void drain_fleet();
 
   /// Router-side request accounting (end-to-end latency from serve() entry,
-  /// including wire and failover time). Disjoint from fleet_stats(), which
-  /// is the engines' in-process view of the same traffic.
+  /// including wire and failover time). Disjoint from fleet_metrics().stats,
+  /// which is the engines' in-process view of the same traffic.
   [[nodiscard]] serve::ServerStats& stats() noexcept { return stats_; }
 
   /// Router-side stage histograms (wire serialize / fan-out / failover).
@@ -273,7 +269,7 @@ class Router {
     /// exchange — a predict answering; control-plane verbs succeeding is
     /// exactly what a predict-livelocked engine does, and the flight
     /// recorder's metrics polls must not launder the strikes they observe);
-    /// quarantine_after_timeouts strikes quarantine the backend even when
+    /// kQuarantineAfterTimeouts strikes quarantine the backend even when
     /// its health probe still answers.
     std::atomic<std::uint64_t> timeout_strikes{0};
     /// obs::now_ns of the last suspicion probe — rate-limits probing so a
@@ -296,59 +292,80 @@ class Router {
     std::uint32_t version = 0;
     double temperature = 1.0;
     mobility::EncodingSpec spec;
-  };
 
-  /// Lets a hedging coordinator sever a colleague's in-flight exchange:
-  /// the losing side's socket is shut down, its pending I/O fails fast, and
-  /// `cancelled` tells the error handler NOT to treat that failure as a
-  /// backend problem.
-  struct ExchangeCancel {
-    Mutex mutex;
-    Socket* active PELICAN_GUARDED_BY(mutex) = nullptr;
-    bool cancelled PELICAN_GUARDED_BY(mutex) = false;
-
-    void cancel() {
-      const MutexLock lock(mutex);
-      cancelled = true;
-      if (active != nullptr) active->shutdown_both();
-    }
-    [[nodiscard]] bool was_cancelled() {
-      const MutexLock lock(mutex);
-      return cancelled;
+    [[nodiscard]] std::vector<std::uint8_t> frame(std::uint32_t user) const {
+      return encode_deploy({user, version, temperature, spec});
     }
   };
+
+  /// A connection leased from a backend's pool (null backend = none).
+  /// reset() closes it and frees its slot; reset(true) parks it for reuse.
+  struct Lease {
+    std::shared_ptr<Backend> backend;
+    Socket socket;
+    bool from_pool = false;  ///< was parked, so it may have rotted
+
+    Lease() = default;
+    Lease(Lease&& other) noexcept = default;
+    Lease& operator=(Lease&& other) noexcept {  // `other` releases ours
+      std::swap(backend, other.backend);
+      std::swap(socket, other.socket);
+      std::swap(from_pool, other.from_pool);
+      return *this;
+    }
+    ~Lease() { reset(); }
+    void reset(bool reuse = false) noexcept;
+  };
+
+  /// One owning backend's slice of a serve() round (defined in router.cpp).
+  struct Group;
 
   /// Looks up a live backend; null when unknown or dead.
   [[nodiscard]] std::shared_ptr<Backend> find_backend(
       const std::string& address) const;
 
-  /// One request/reply exchange over a pooled connection, bounded by
-  /// `timeout_ms` (<= 0 = blocking). Throws WireTimeout on deadline expiry
-  /// (backend possibly hung) and WireError on transport failure (backend
-  /// presumed dead). A connection-level failure on the FIRST attempt —
-  /// typically a pooled socket that broke while parked — is retried once on
-  /// a fresh connection before the error propagates. `cancel`, when given,
-  /// registers the in-flight socket so a hedge winner can sever the loser.
-  /// `clears_strikes` marks a DATA-PLANE exchange: only those reset the
-  /// backend's timeout_strikes on success — a metrics poll or health probe
-  /// completing says nothing about a livelocked predict path.
+  /// A parked connection, else a fresh connect within kPoolConnections.
+  /// `wait` blocks while the pool is full; without it a full pool yields an
+  /// empty lease. Throws WireError when the backend is dead or unreachable.
+  [[nodiscard]] Lease acquire(const std::shared_ptr<Backend>& backend,
+                              bool wait);
+
+  /// Swaps a parked connection — which rots when its engine restarts
+  /// (EPIPE/ECONNRESET on first reuse) — for one fresh connect; false when
+  /// the lease is already fresh. Every verb is idempotent: callers resend.
+  bool renew(Lease& lease);
+
+  /// Sends `frame` under a `timeout_ms` I/O deadline (<= 0 = blocking) and,
+  /// when `await_reply`, returns the reply. Renews a rotted connection once;
+  /// throws WireTimeout on expiry (backend possibly hung), WireError on
+  /// transport failure (backend presumed dead).
+  std::vector<std::uint8_t> send(Lease& lease,
+                                 std::span<const std::uint8_t> frame,
+                                 double timeout_ms, bool await_reply = false);
+
+  /// Blocking acquire + send/reply, parking the connection afterwards.
   [[nodiscard]] std::vector<std::uint8_t> exchange(
-      Backend& backend, std::span<const std::uint8_t> frame,
-      double timeout_ms, ExchangeCancel* cancel = nullptr,
-      bool clears_strikes = false);
+      const std::shared_ptr<Backend>& backend,
+      std::span<const std::uint8_t> frame, double timeout_ms);
+
+  /// Fires a late group's hedge at the next live backend: re-deploys the
+  /// users there from the ledger, then sends the same batch. Never waits
+  /// for the target's pool (the call holds unread leases): a full pool
+  /// defers the hedge by `hedge_delay`.
+  void hedge(Group& group, std::span<const serve::PredictRequest> reqs,
+             double hedge_delay);
+
+  /// Reads the reply on `group`'s connection `slot` (0 primary, 1 hedge);
+  /// the first good one answers the group and closes the other.
+  void receive(Group& group, std::size_t slot, std::uint64_t trace,
+               bool instrument, std::vector<serve::PredictResponse>& responses);
 
   /// Sends an admin frame to `user`'s owner, failing over (and retrying
-  /// once) when the owner is dead. Returns the decoded ack; throws
-  /// std::runtime_error when the engine answers ok = false.
+  /// once) when the owner is dead. Returns the decoded ack, and the
+  /// answering owner's address through `answered` when given.
   Ack admin_to_owner(std::uint32_t user,
-                     const std::vector<std::uint8_t>& frame);
-
-  /// Marks a backend dead, repartitions, and re-deploys its users on their
-  /// failover owners. Idempotent per backend; safe to call concurrently.
-  /// `trace_id`, when non-zero, ties the resulting journal event to the
-  /// request that observed the failure.
-  void handle_backend_failure(const std::string& address,
-                              std::uint64_t trace_id = 0);
+                     const std::vector<std::uint8_t>& frame,
+                     std::string* answered = nullptr);
 
   /// The hung-but-alive path: rate-limited health probe of a backend that
   /// timed out (or lost a hedge race). Probe failure — or too many strikes
@@ -356,18 +373,9 @@ class Router {
   void handle_backend_timeout(const std::string& address,
                               std::uint64_t trace_id = 0);
 
-  /// Like handle_backend_failure, but the Backend is stashed in
-  /// quarantined_ for the recovery prober instead of forgotten.
-  void quarantine_backend(const std::string& address,
-                          std::uint64_t trace_id = 0);
-
-  /// Folds a recovered backend back into the fleet: repartition, alive
-  /// again, and the ledger users it now owns re-deployed onto it.
+  /// Folds a recovered backend back into the fleet: re-deploys the ledger
+  /// users it will own onto it, then moves its partitions back.
   void unquarantine_backend(const std::string& address);
-
-  /// One synchronous health-verb round trip with probe_timeout_ms, on a
-  /// fresh connection (never the pool — the pool may be what is hung).
-  [[nodiscard]] bool probe_backend(Backend& backend);
 
   /// True while `backend` is still inside its quarantine hold-down window
   /// (quarantine_holddown_ms doubling per repeated quarantine) — the
@@ -377,14 +385,31 @@ class Router {
   /// Recovery thread body: re-probes quarantined backends each interval.
   void probe_loop();
 
-  /// Shared by handle_backend_failure / quarantine_backend: mark dead,
-  /// repartition, tear down the pool, re-deploy the orphaned users.
-  void remove_backend(const std::string& address, bool stash_quarantined,
-                      std::uint64_t trace_id = 0);
+  /// A user a membership change re-deploys on `target` before the switch.
+  struct Move {
+    std::uint32_t user = 0;
+    Deployment record;
+    std::shared_ptr<Backend> target;
+  };
 
-  /// Hedge target for a group owned by `owner`: the next live backend
-  /// after it in sorted order; empty when the fleet has no second choice.
-  [[nodiscard]] std::string hedge_candidate(const std::string& owner) const;
+  /// Best-effort (a failing target has its own failover), on fresh
+  /// connections: a membership change never waits for a pool slot.
+  void redeploy(const std::vector<Move>& moves);
+
+  /// Drops the moves whose re-deployed version is still the ledger's and
+  /// refreshes the rest (a publish or deploy raced the re-deploy); true
+  /// when none is left, i.e. the ownership switch may happen now.
+  [[nodiscard]] bool settle(std::vector<Move>& moves)
+      PELICAN_REQUIRES(mutex_);
+
+  /// Takes a backend out of the fleet: re-deploys its users on their next
+  /// owners, then repartitions and tears down its pool. A dead backend
+  /// (transport failure) is forgotten; a quarantined one (suspected hung)
+  /// is stashed in quarantined_ for the recovery prober — unless it is the
+  /// last live one. No-op when the backend is already gone. `trace_id`,
+  /// when non-zero, ties the journal event to the request that saw it.
+  void remove_backend(const std::string& address, bool quarantine = false,
+                      std::uint64_t trace_id = 0);
 
   /// Effective hedge delay for this serve() call (auto mode reads the
   /// fan-out p99); < 0 when hedging is disabled.
@@ -392,6 +417,25 @@ class Router {
 
   RouterConfig config_;
 
+  /// Serializes membership changes (removal, quarantine, unquarantine)
+  /// including their re-deploys, so each computes its users' next owners
+  /// from the table the previous change committed. Held across wire I/O
+  /// (never a pool wait); never taken while holding a pooled connection.
+  Mutex membership_mutex_;
+
+  /// Keeps hedge re-deploys out of a membership change without hedges
+  /// excluding one another: the change raises `changing_` and waits out the
+  /// hedges counted in `hedging_`; a hedge that sees the flag backs off.
+  struct HedgeFence {
+    explicit HedgeFence(Router& router) : router(router) {
+      router.changing_.store(true);
+      while (router.hedging_.load() != 0) std::this_thread::yield();
+    }
+    ~HedgeFence() { router.changing_.store(false); }
+    Router& router;
+  };
+  std::atomic<bool> changing_{false};
+  std::atomic<int> hedging_{0};
   mutable Mutex mutex_;
   Partitioner partitioner_ PELICAN_GUARDED_BY(mutex_);
   std::unordered_map<std::string, std::shared_ptr<Backend>> backends_

@@ -55,7 +55,7 @@ class WireTimeout : public WireError {
 };
 
 /// Largest accepted frame payload. Generous: the biggest real frame is a
-/// kStatsReply carrying every latency sample of a long bench run.
+/// kMetricsReply carrying an engine's registry and journals.
 inline constexpr std::uint32_t kMaxFrameBytes = 256u * 1024u * 1024u;
 
 struct Address {

@@ -83,7 +83,7 @@ class ServerStats {
   [[nodiscard]] Snapshot snapshot() const;
 
   /// The raw recorded state, copyable and wire-transportable (the router's
-  /// kStats verb carries one per engine). Field meanings match the private
+  /// kMetrics verb carries one per engine). Field meanings match the private
   /// members below; `latency` carries the full bucket vector so merges stay
   /// exact.
   struct State {

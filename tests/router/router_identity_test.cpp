@@ -102,7 +102,7 @@ TEST(RouterIdentityTest, RoutedResponsesMatchDirectEngineBitForBit) {
   EXPECT_FALSE(unknown[0].rejected);
 
   // Fleet stats observed every routed request, engine-side.
-  const auto snap = router.fleet_stats();
+  const auto snap = router.fleet_metrics().stats;
   EXPECT_EQ(snap.requests_served, requests.size());
   EXPECT_EQ(snap.requests_rejected, 1u);
   EXPECT_GE(snap.batches_run, 1u);

@@ -40,7 +40,7 @@ TEST(WireTest, PredictBatchRoundTrips) {
 
 TEST(WireTest, PredictFrameVersionMismatchThrows) {
   // Frame versioning is deliberate: PR 7 changed the predict frame layout
-  // (trace ids) and the stats reply (histogram state), so a v1 peer must
+  // (trace ids) and the metrics reply (histogram state), so a v1 peer must
   // fail loudly, not decode garbage.
   Rng rng(12);
   auto frame = encode_predict_batch(
@@ -48,9 +48,9 @@ TEST(WireTest, PredictFrameVersionMismatchThrows) {
   frame[1] = kPredictFrameVersion - 1;  // version byte follows the verb
   EXPECT_THROW((void)decode_predict_batch(frame), SerializeError);
 
-  auto stats_frame = encode_stats_reply(serve::ServerStats().state());
-  stats_frame[1] = kStatsFrameVersion + 1;
-  EXPECT_THROW((void)decode_stats_reply(stats_frame), SerializeError);
+  auto metrics_frame = encode_metrics_reply(EngineMetricsReport{});
+  metrics_frame[1] = kMetricsFrameVersion + 1;
+  EXPECT_THROW((void)decode_metrics_reply(metrics_frame), SerializeError);
 }
 
 TEST(WireTest, PredictRepliesRoundTrip) {
@@ -93,7 +93,6 @@ TEST(WireTest, AdminMessagesRoundTrip) {
   EXPECT_TRUE(health.draining);
 
   EXPECT_EQ(frame_verb(encode_health()), Verb::kHealth);
-  EXPECT_EQ(frame_verb(encode_stats()), Verb::kStats);
   EXPECT_EQ(frame_verb(encode_drain()), Verb::kDrain);
 }
 
@@ -108,7 +107,15 @@ TEST(WireTest, StatsStateRoundTripsExactly) {
   stats.record_queue_depth(9);
   const auto state = stats.state();
 
-  const auto decoded = decode_stats_reply(encode_stats_reply(state));
+  // The engine's raw stats ride the kMetricsReply frame.
+  EngineMetricsReport report;
+  report.stats = state;
+  const auto frame = encode_metrics_reply(report);
+  auto truncated = frame;
+  truncated.pop_back();
+  EXPECT_THROW((void)decode_metrics_reply(truncated), SerializeError);
+
+  const auto decoded = decode_metrics_reply(frame).stats;
   EXPECT_EQ(decoded.requests, state.requests);
   EXPECT_EQ(decoded.rejected, state.rejected);
   EXPECT_EQ(decoded.shed, state.shed);
