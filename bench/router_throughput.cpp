@@ -27,6 +27,7 @@
 
 #include "common/rng.hpp"
 #include "common/table.hpp"
+#include "common/thread_pool.hpp"
 #include "common/timer.hpp"
 #include "harness/results.hpp"
 #include "nn/model.hpp"
@@ -149,7 +150,7 @@ void snapshot_fleet_metrics(const std::vector<std::string>& addresses,
 
 int main() {
   const RouterScale scale = scale_from_env();
-  const std::size_t cores = std::thread::hardware_concurrency();
+  const std::size_t pool_threads = ThreadPool::global().size() + 1;
   const std::size_t clients = 4;
   const std::size_t client_batch = 64;
 
@@ -157,8 +158,8 @@ int main() {
                "router_throughput: multi-process fleet vs single process");
   std::cout << "scale " << scale.name << ": " << scale.users << " users, "
             << scale.requests << " requests, " << scale.num_locations
-            << " locations, hidden " << scale.hidden_dim << ", " << cores
-            << " cores, " << clients << " client threads\n";
+            << " locations, hidden " << scale.hidden_dim << ", " << pool_threads
+            << " pool threads, " << clients << " client threads\n";
 
   const mobility::EncodingSpec spec{mobility::SpatialLevel::kBuilding,
                                     scale.num_locations};

@@ -6,7 +6,6 @@
 // hardware and scale; the *ratios* are the reproduction target.
 #include <algorithm>
 #include <iostream>
-#include <thread>
 
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
@@ -122,7 +121,7 @@ int main() {
                       "speedup"});
     enum_table.add_row(
         {std::to_string(candidates),
-         std::to_string(std::thread::hardware_concurrency()),
+         std::to_string(ThreadPool::global().size() + 1),
          Table::num(serial_ms, 3), Table::num(parallel_ms, 3),
          Table::num(serial_ms / parallel_ms, 2) + "x"});
     print_banner(std::cout, "brute-force enumeration parallelism");
@@ -208,7 +207,7 @@ int main() {
     const auto row = [&](const char* name, double ms) {
       score_table.add_row(
           {name, std::to_string(candidates.size()),
-           std::to_string(std::thread::hardware_concurrency()),
+           std::to_string(ThreadPool::global().size() + 1),
            Table::num(ms, 3), Table::num(dense_ms / ms, 2) + "x"});
     };
     row("dense serial (pre-ISSUE-4)", dense_ms);

@@ -1,5 +1,7 @@
 #include "common/thread_pool.hpp"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cassert>
@@ -14,6 +16,18 @@ thread_local bool inside_pool_worker = false;
 /// static destructor runs. Trivially destructible, so it is safe to read
 /// from any later static destructor.
 std::atomic<bool> global_pool_destroyed{false};
+
+/// CPUs the calling thread may run on (its affinity mask), so a process
+/// confined by taskset or a cpuset sizes its pool to what it can use.
+std::size_t allowed_cpus() {
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (::sched_getaffinity(0, sizeof(allowed), &allowed) == 0) {
+    const int count = CPU_COUNT(&allowed);
+    if (count > 0) return static_cast<std::size_t>(count);
+  }
+  return std::max<std::size_t>(1, std::thread::hardware_concurrency());
+}
 }  // namespace
 
 /// One parallel_for invocation: a shared work counter plus completion state.
@@ -46,9 +60,7 @@ struct ThreadPool::Batch {
 };
 
 ThreadPool::ThreadPool(std::size_t threads) {
-  if (threads == 0) {
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
+  if (threads == 0) threads = allowed_cpus();
   // The calling thread participates in every batch, so spawn one fewer.
   const std::size_t workers = threads > 1 ? threads - 1 : 0;
   workers_.reserve(workers);
@@ -71,21 +83,29 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::worker_loop() {
   inside_pool_worker = true;
+  // A worker joins each batch at most once: back from its share while the
+  // caller still runs items, it parks instead of re-joining the drained
+  // batch (which used to spin on mutex_ until the caller finished).
+  std::uint64_t joined = 0;
   for (;;) {
     Batch* batch = nullptr;
     {
       MutexLock lock(mutex_);
-      while (!stop_ && batch_ == nullptr) lock.wait(wake_);
+      while (!stop_ && (batch_ == nullptr || generation_ == joined)) {
+        lock.wait(wake_);
+      }
       if (stop_) return;
       batch = batch_;
+      joined = generation_;
       batch->active.fetch_add(1, std::memory_order_relaxed);
     }
     batch->run_share();
+    bool last = false;
     {
       const MutexLock lock(mutex_);
-      batch->active.fetch_sub(1, std::memory_order_acq_rel);
+      last = batch->active.fetch_sub(1, std::memory_order_acq_rel) == 1;
     }
-    done_.notify_all();
+    if (last) done_.notify_one();  // only the submitter waits on done_
   }
 }
 
@@ -104,8 +124,11 @@ void ThreadPool::parallel_for(std::size_t count,
   {
     const MutexLock lock(mutex_);
     batch_ = &batch;
+    ++generation_;
   }
-  wake_.notify_all();
+  // The caller takes one share, so at most count - 1 workers have work.
+  const std::size_t helpers = std::min(count - 1, workers_.size());
+  for (std::size_t i = 0; i < helpers; ++i) wake_.notify_one();
 
   // The caller participates, and while it does it counts as a pool worker:
   // a nested parallel_for from inside its share must serialize (exactly as

@@ -9,6 +9,7 @@
 
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <thread>
 #include <vector>
@@ -20,7 +21,11 @@ namespace pelican {
 
 class ThreadPool {
  public:
-  /// Creates `threads` workers; 0 means std::thread::hardware_concurrency().
+  /// Runs batches on `threads` threads: threads - 1 workers plus the caller.
+  /// 0 means the number of CPUs in the calling thread's affinity mask
+  /// (sched_getaffinity; hardware_concurrency if that call fails), so a
+  /// process confined to one CPU gets no workers and runs every
+  /// parallel_for inline.
   explicit ThreadPool(std::size_t threads = 0);
 
   /// Joins all workers. Requires that no parallel_for is in flight — a
@@ -31,16 +36,19 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
+  /// Spawned workers, not counting the calling thread.
   [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }
 
-  /// Runs fn(i) for i in [0, count), blocking until all complete. Work is
-  /// divided into contiguous chunks, one per worker plus the calling thread.
+  /// Runs fn(i) for i in [0, count), blocking until all complete. The
+  /// calling thread and up to count - 1 woken workers take indices one at a
+  /// time from a shared counter; each worker joins a batch at most once.
   /// Exceptions thrown by fn propagate to the caller (first one wins).
   void parallel_for(std::size_t count,
                     const std::function<void(std::size_t)>& fn);
 
-  /// Process-wide pool, sized to the hardware. Lazily constructed on first
-  /// use; destroyed during static teardown in reverse construction order.
+  /// Process-wide pool, sized as ThreadPool(0) by the affinity mask of the
+  /// thread that first uses it. Lazily constructed on first use; destroyed
+  /// during static teardown in reverse construction order.
   /// OWNERSHIP AND SHUTDOWN ORDER: anything that may run tasks during exit
   /// (static destructors, atexit hooks) must either have been constructed
   /// AFTER the pool's first use — C++ guarantees it is then destroyed
@@ -65,6 +73,8 @@ class ThreadPool {
   std::condition_variable wake_;
   std::condition_variable done_;
   Batch* batch_ PELICAN_GUARDED_BY(mutex_) = nullptr;  ///< current batch
+  /// Bumped per installed batch; workers remember the last one they joined.
+  std::uint64_t generation_ PELICAN_GUARDED_BY(mutex_) = 0;
   bool stop_ PELICAN_GUARDED_BY(mutex_) = false;
 };
 

@@ -1,5 +1,7 @@
 #include "router/engine_worker.hpp"
 
+#include <sys/resource.h>
+
 #include <exception>
 #include <span>
 #include <utility>
@@ -10,6 +12,35 @@
 #include "router/wire.hpp"
 
 namespace pelican::router {
+
+namespace {
+std::uint64_t process_cpu_us() {
+  rusage usage{};
+  ::getrusage(RUSAGE_SELF, &usage);
+  const auto us = [](const timeval& t) {
+    return static_cast<std::uint64_t>(t.tv_sec) * 1'000'000u +
+           static_cast<std::uint64_t>(t.tv_usec);
+  };
+  return us(usage.ru_utime) + us(usage.ru_stime);
+}
+
+/// Process CPU already added to some worker's process_cpu_us_total.
+/// Process-wide, so workers sharing a process (tests, in-process fleets)
+/// split its CPU between their counters instead of each counting all of it.
+std::atomic<std::uint64_t> cpu_reported_us{0};
+
+/// The process CPU not yet reported. The high-water mark only moves
+/// forward, so concurrent reports never count the same microsecond twice.
+std::uint64_t take_unreported_cpu_us() {
+  const std::uint64_t now = process_cpu_us();
+  std::uint64_t reported = cpu_reported_us.load(std::memory_order_relaxed);
+  while (reported < now &&
+         !cpu_reported_us.compare_exchange_weak(reported, now,
+                                                std::memory_order_relaxed)) {
+  }
+  return now > reported ? now - reported : 0;
+}
+}  // namespace
 
 EngineWorker::EngineWorker(EngineConfig config)
     : config_(std::move(config)),
@@ -197,6 +228,9 @@ std::vector<std::uint8_t> EngineWorker::handle_frame(
         return encode_health_reply({registry_.size(), draining()});
       }
       case Verb::kMetrics: {
+        scheduler_->metrics()
+            .counter("process_cpu_us_total")
+            .add(take_unreported_cpu_us());
         EngineMetricsReport report;
         report.stats = scheduler_->stats().state();
         report.registry = scheduler_->metrics().state();

@@ -137,7 +137,10 @@ struct HealthReply {
 /// Full observability snapshot of one engine: the classic serving counters,
 /// the stage-latency metrics registry, the worst-N trace journal, and the
 /// engine's structured event journal (publish, deadline-shed bursts). What
-/// kMetricsReply carries and what Router::fleet_metrics merges.
+/// kMetricsReply carries and what Router::fleet_metrics merges. The engine's
+/// registry includes `process_cpu_us_total`, the process's user + system CPU
+/// (getrusage) reported so far, so engine CPU per served request is a
+/// counter delta over a requests delta.
 struct EngineMetricsReport {
   serve::ServerStats::State stats;
   obs::RegistryState registry;

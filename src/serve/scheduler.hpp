@@ -6,9 +6,11 @@
 // into one multi-row predict_top_k_batch call — one LSTM forward serves B
 // queries — under a max-batch / max-delay policy: a drain fires as soon as a
 // full batch is queued, or when the oldest request has waited max_delay,
-// whichever comes first. Drains execute across ThreadPool::global() workers,
-// one coalesced batch per task, so distinct users' batches run on distinct
-// cores while per-deployment serve locks keep each model single-threaded.
+// whichever comes first. Drains execute across ThreadPool::global(), one
+// coalesced batch per task, while per-deployment serve locks keep each model
+// single-threaded. The pool is sized to the CPUs the process may use, so
+// distinct users' batches run in parallel only when there are CPUs to run
+// them on; a process confined to one CPU runs its batches inline.
 //
 // Responses are deterministic: batching never reorders or changes results
 // (predict_top_k_batch is bit-identical per row to single queries), so

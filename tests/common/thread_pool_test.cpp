@@ -1,8 +1,11 @@
 #include "common/thread_pool.hpp"
 
 #include <gtest/gtest.h>
+#include <sched.h>
+#include <sys/resource.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -124,6 +127,54 @@ TEST(ThreadPool, FreeFunctionCoversAll) {
   std::vector<std::atomic<int>> counts(257);
   parallel_for(257, [&](std::size_t i) { ++counts[i]; });
   for (const auto& c : counts) EXPECT_EQ(c.load(), 1);
+}
+
+double process_cpu_seconds() {
+  rusage usage{};
+  ::getrusage(RUSAGE_SELF, &usage);
+  const auto seconds = [](const timeval& t) {
+    return static_cast<double>(t.tv_sec) +
+           static_cast<double>(t.tv_usec) * 1e-6;
+  };
+  return seconds(usage.ru_utime) + seconds(usage.ru_stime);
+}
+
+TEST(ThreadPool, WorkersParkWhileTheCallerFinishes) {
+  // Workers that finished their share must sleep until the next batch, not
+  // re-join the drained one in a loop while the caller runs a slow item.
+  // Each worker holds its first item until the caller has started one, so
+  // the caller always gets an item: the slow one.
+  ThreadPool pool(4);
+  const auto caller = std::this_thread::get_id();
+  std::atomic<bool> caller_started{false};
+  const double before = process_cpu_seconds();
+  pool.parallel_for(4, [&](std::size_t) {
+    if (std::this_thread::get_id() != caller) {
+      caller_started.wait(false);
+    } else if (!caller_started.exchange(true)) {
+      caller_started.notify_all();
+      std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    }
+  });
+  const double cpu_s = process_cpu_seconds() - before;
+  EXPECT_LT(cpu_s, 0.05) << "idle workers burned CPU while the caller slept";
+}
+
+TEST(ThreadPool, DefaultSizeFollowsAffinityMask) {
+  cpu_set_t original;
+  ASSERT_EQ(::sched_getaffinity(0, sizeof(original), &original), 0);
+  const auto allowed = static_cast<std::size_t>(CPU_COUNT(&original));
+  EXPECT_EQ(ThreadPool(0).size(), allowed - 1);
+
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &original)) ++cpu;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  ASSERT_EQ(::sched_setaffinity(0, sizeof(one), &one), 0);
+  const std::size_t pinned_size = ThreadPool(0).size();
+  ASSERT_EQ(::sched_setaffinity(0, sizeof(original), &original), 0);
+  EXPECT_EQ(pinned_size, 0u) << "one allowed CPU: parallel_for runs inline";
 }
 
 TEST(ThreadPool, ManySequentialBatches) {

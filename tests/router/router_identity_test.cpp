@@ -108,6 +108,33 @@ TEST(RouterIdentityTest, RoutedResponsesMatchDirectEngineBitForBit) {
   EXPECT_GE(snap.batches_run, 1u);
 }
 
+TEST(RouterIdentityTest, FleetMetricsCarryEngineProcessCpu) {
+  rt::TempDir dir;
+  rt::fill_store(dir.store_root(), /*users=*/4, /*versions=*/1);
+  const auto fleet = rt::start_fleet(dir, /*processes=*/2);
+  Router router;
+  for (const auto& engine : fleet) {
+    ASSERT_GT(router.add_backend(engine->address().to_string()), 0u);
+  }
+  Rng rng(5);
+  std::vector<serve::PredictRequest> requests;
+  for (std::uint32_t user = 0; user < 4; ++user) {
+    router.deploy(user, /*version=*/1, tiny_spec(), rt::temperature_of(user));
+    requests.push_back({user, random_window(rng), 3});
+  }
+  for (const auto& response : router.serve(requests)) EXPECT_TRUE(response.ok);
+
+  const auto cpu_us = [&router] {
+    for (const auto& [name, value] : router.fleet_metrics().registry.counters) {
+      if (name == "process_cpu_us_total") return value;
+    }
+    return std::uint64_t{0};
+  };
+  const std::uint64_t first = cpu_us();
+  EXPECT_GT(first, 0u) << "engine CPU must be visible in fleet metrics";
+  EXPECT_GE(cpu_us(), first) << "the counter is cumulative";
+}
+
 TEST(RouterIdentityTest, DeployOfMissingVersionIsRefusedNotFatal) {
   rt::TempDir dir;
   rt::fill_store(dir.store_root(), /*users=*/2, /*versions=*/1);

@@ -20,11 +20,13 @@
 // engine-side and router-side spans (which share an id) print adjacently.
 // Engine event journals are pooled the same way (wall-clock order).
 //
-// --watch SECS re-scrapes every SECS seconds and prints counter RATES and
-// per-interval histogram quantiles, computed with the same exact delta
-// logic the in-process flight recorder uses (obs::delta_state): counters
-// clamp at zero across engine restarts, histogram quantiles come from
-// bucket-wise interval subtraction. The first tick is the baseline.
+// --watch SECS re-scrapes every SECS seconds and prints counter RATES,
+// engine CPU per served request (process_cpu_us_total over the engines'
+// served requests), and per-interval histogram quantiles, computed with
+// the same exact delta logic the in-process flight recorder uses
+// (obs::delta_state): counters clamp at zero across engine restarts,
+// histogram quantiles come from bucket-wise interval subtraction. The
+// first tick is the baseline.
 //
 // --serve ADDR mounts a full flight-recorder HTTP endpoint over the
 // scraped fleet: a FlightRecorder whose source is "scrape every engine and
@@ -76,7 +78,8 @@ int usage(const char* argv0) {
          "ADDR is unix:<path>, tcp:<host>:<port>, or (for --serve) a bare\n"
          "port. --router-file merges an encode_metrics_reply dump of the\n"
          "router's own self_report() as the pseudo-engine \"router\".\n"
-         "--watch re-scrapes every SECS seconds and prints counter rates;\n"
+         "--watch re-scrapes every SECS seconds and prints counter rates\n"
+         "and engine CPU per served request;\n"
          "--serve mounts the flight-recorder HTTP endpoint over the scraped\n"
          "fleet until SIGINT.\n";
   return 2;
@@ -116,6 +119,7 @@ struct ScrapeOptions {
 struct FleetScrape {
   std::vector<std::pair<std::string, router::EngineMetricsReport>> reports;
   obs::RegistryState fleet;
+  std::size_t engine_requests = 0;  ///< served by the engines (no router)
   std::vector<obs::Event> events;
   bool all_ok = true;
 };
@@ -129,6 +133,7 @@ FleetScrape scrape_fleet(const ScrapeOptions& options, bool quiet = false) {
     try {
       router::EngineMetricsReport report = scrape(address);
       for (obs::TraceRecord& rec : report.traces) rec.source = address;
+      out.engine_requests += report.stats.requests;
       out.reports.emplace_back(address, std::move(report));
     } catch (const std::exception& error) {
       if (!quiet) {
@@ -165,6 +170,7 @@ FleetScrape scrape_fleet(const ScrapeOptions& options, bool quiet = false) {
 int run_watch(const ScrapeOptions& options, double period_s,
               std::uint64_t max_ticks) {
   obs::RegistryState prev;
+  std::size_t prev_requests = 0;
   bool has_prev = false;
   std::uint64_t prev_ms = 0;
   bool all_ok = true;
@@ -186,6 +192,14 @@ int run_watch(const ScrapeOptions& options, double period_s,
       for (const auto& [name, value] : delta.counters) {
         std::cout << "rate " << name << " "
                   << (static_cast<double>(value) / dt_s) << "/s\n";
+        if (name == "process_cpu_us_total" &&
+            pass.engine_requests > prev_requests) {
+          std::cout << "engine_cpu_us_per_request "
+                    << (static_cast<double>(value) /
+                        static_cast<double>(pass.engine_requests -
+                                            prev_requests))
+                    << "\n";
+        }
       }
       for (const auto& [name, state] : delta.histograms) {
         if (state.count == 0) continue;
@@ -198,6 +212,7 @@ int run_watch(const ScrapeOptions& options, double period_s,
       std::cout << std::flush;
     }
     prev = pass.fleet;
+    prev_requests = pass.engine_requests;
     prev_ms = now_ms;
     has_prev = true;
     if (max_ticks != 0 && tick + 1 >= max_ticks) break;
