@@ -27,10 +27,10 @@ class BlackBoxModel {
     return query(nn::to_dense(input));
   }
 
-  /// An independent replica serving the same model: same weights, same
-  /// privacy behavior, but its own forward-pass caches, so replicas can be
-  /// queried from different threads concurrently (parallel candidate
-  /// scoring). Queries against a replica count against the ORIGINAL's
+  /// A replica serving the same model: same weights, same privacy
+  /// behavior, safe to query from another thread concurrently (parallel
+  /// candidate scoring) — by sharing an immutable model (core's
+  /// DeployedModel) or by owning a copy (PlainBlackBox). Queries against a replica count against the ORIGINAL's
   /// budget, and the replica must not outlive it. Returns nullptr when the
   /// implementation cannot replicate (scoring then stays serial).
   [[nodiscard]] virtual std::unique_ptr<BlackBoxModel> replicate() {

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "attack/blackbox.hpp"
 #include "core/privacy_layer.hpp"
 #include "mobility/dataset.hpp"
+#include "nn/inference_model.hpp"
 #include "nn/model.hpp"
 
 namespace pelican::core {
@@ -28,7 +30,7 @@ enum class DeploymentSite : std::uint8_t { kOnDevice = 0, kInCloud };
   return site == DeploymentSite::kOnDevice ? "device" : "cloud";
 }
 
-/// Per-stage wall-clock breakdown of one predict_top_k_batch call. A plain
+/// Per-stage wall-clock breakdown of one predict_top_k_shared call. A plain
 /// out-param struct (not an obs type) so core stays below the observability
 /// layer in the lattice; the serving tier maps these onto its stage
 /// histograms and trace spans.
@@ -38,7 +40,22 @@ struct PredictStageSeconds {
   double rank = 0.0;     ///< top-k ranking over the logits
 };
 
+class DeployedModel;
+
+/// One row of a cross-deployment batch (DeployedModel::predict_top_k_shared).
+struct SharedRow {
+  const DeployedModel* deployment = nullptr;
+  const mobility::Window* window = nullptr;
+  std::size_t k = 0;  ///< how many next-location candidates to return
+};
+
 /// A personalized model as exposed to the mobile service.
+///
+/// The model itself is immutable (nn::InferenceModel behind a
+/// shared_ptr<const>) and only ever runs through the const infer() path, so
+/// a deployment can be queried from any number of threads at once, its
+/// replicas share the weights, and a serving engine may share identical
+/// layers between deployments (serve::DeploymentRegistry interns them).
 class DeployedModel final : public attack::BlackBoxModel {
  public:
   /// `model_version` tags which stored model version (store::ModelKey
@@ -47,11 +64,15 @@ class DeployedModel final : public attack::BlackBoxModel {
   DeployedModel(nn::SequenceClassifier model, mobility::EncodingSpec spec,
                 PrivacyLayer privacy, DeploymentSite site,
                 std::uint32_t model_version = 0)
-      : model_(std::move(model)),
-        spec_(spec),
-        privacy_(privacy),
-        site_(site),
-        model_version_(model_version) {}
+      : DeployedModel(
+            std::make_shared<const nn::InferenceModel>(std::move(model)),
+            spec, privacy, site, model_version) {}
+
+  /// Deploys an already-built (possibly layer-sharing) model. Throws
+  /// std::invalid_argument on a null model.
+  DeployedModel(std::shared_ptr<const nn::InferenceModel> model,
+                mobility::EncodingSpec spec, PrivacyLayer privacy,
+                DeploymentSite site, std::uint32_t model_version = 0);
 
   /// Black-box prediction: forward pass + privacy-scaled softmax. This is
   /// the ONLY read path; raw logits never leave the deployment.
@@ -62,14 +83,14 @@ class DeployedModel final : public attack::BlackBoxModel {
   /// (Section V, attack query counts) depend on how the adversary batches.
   [[nodiscard]] nn::Matrix query(const nn::Sequence& input) override {
     add_queries(input.empty() ? 0 : input.front().rows());
-    return privacy_.apply(model_.forward(input, /*training=*/false));
+    return privacy_.apply(model_->infer(input));
   }
 
   /// Sparse-encoded query: the same confidences, bit for bit, via the
   /// one-hot gather kernels (nn/sparse.hpp). Same per-row budget spend.
   [[nodiscard]] nn::Matrix query(const nn::SparseSequence& input) override {
     add_queries(input.empty() ? 0 : input.front().rows());
-    return privacy_.apply(model_.forward(input, /*training=*/false));
+    return privacy_.apply(model_->infer(input));
   }
 
   // Movable so deployments can live in containers and be handed between
@@ -97,33 +118,30 @@ class DeployedModel final : public attack::BlackBoxModel {
     return *this;
   }
 
-  /// Deep copy: duplicates the model (and therefore its forward caches),
-  /// privacy layer, and placement, and snapshots the current query count.
-  /// The copy is fully independent — two clones can serve or be attacked
-  /// concurrently without sharing any state.
+  /// An independent deployment of the same (shared, immutable) model with
+  /// the same privacy layer and placement; its query counter starts at a
+  /// snapshot of this one's and counts on its own from there.
   [[nodiscard]] DeployedModel clone() const {
-    DeployedModel copy(model_.clone(), spec_, privacy_, site_,
-                       model_version_);
+    DeployedModel copy(model_, spec_, privacy_, site_, model_version_);
     copy.set_query_count(query_count());
     return copy;
   }
 
-  /// attack::BlackBoxModel::replicate: like clone(), but the replica's
-  /// queries are charged to THIS deployment's budget (the clones exist only
-  /// to give each scoring worker private forward caches; the adversary is
-  /// still spending one user's query budget). The counter is shared by
-  /// shared_ptr, so replicas stay valid even if this deployment moves or
-  /// is destroyed first.
+  /// attack::BlackBoxModel::replicate: a deployment of the same shared
+  /// model whose queries are charged to THIS deployment's budget (the
+  /// adversary is still spending one user's query budget, however many
+  /// scoring workers it runs). The counter is shared by shared_ptr, so
+  /// replicas stay valid even if this deployment moves or is destroyed
+  /// first.
   [[nodiscard]] std::unique_ptr<attack::BlackBoxModel> replicate() override {
-    auto copy = std::make_unique<DeployedModel>(model_.clone(), spec_,
-                                                privacy_, site_,
-                                                model_version_);
+    auto copy = std::make_unique<DeployedModel>(model_, spec_, privacy_,
+                                                site_, model_version_);
     copy->queries_ = queries_;
     return copy;
   }
 
   [[nodiscard]] std::size_t num_classes() const override {
-    return model_.num_classes();
+    return model_->num_classes();
   }
   [[nodiscard]] const mobility::EncodingSpec& spec() const override {
     return spec_;
@@ -132,22 +150,33 @@ class DeployedModel final : public attack::BlackBoxModel {
   /// Top-k next locations for a single encoded window — the service's
   /// primary operation (e.g. prefetching content for likely destinations).
   [[nodiscard]] std::vector<std::uint16_t> predict_top_k(
-      const mobility::Window& window, std::size_t k);
+      const mobility::Window& window, std::size_t k) const;
 
   /// Batched top-k: encodes all windows into one multi-row sequence and runs
   /// ONE forward pass, so a coalescing serving engine amortizes the LSTM
   /// across B queries. Row r of the result is bit-identical to
-  /// predict_top_k(windows[r], k): every kernel under forward() accumulates
+  /// predict_top_k(windows[r], k): every kernel under infer() accumulates
   /// per-row in a fixed order and the top-k reduction is per-row, so batching
   /// never changes what any user is served (the Section V-B service-quality
-  /// invariant, now also batch-size-independent).
+  /// invariant, now also batch-size-independent). Throws when any window
+  /// lies outside the deployment's encoding domain.
+  [[nodiscard]] std::vector<std::vector<std::uint16_t>> predict_top_k_batch(
+      std::span<const mobility::Window> windows, std::size_t k) const;
+
+  /// Batched top-k across deployments: row r asks rows[r].deployment for
+  /// the top rows[r].k of rows[r].window. Each window is encoded against its
+  /// own deployment's spec, each row spends one query of its own
+  /// deployment's budget, and the forward runs through nn::infer_shared, so
+  /// a layer shared by several deployments runs once for all their rows.
+  /// Result r is bit-identical to rows[r].deployment->predict_top_k(...),
+  /// or std::nullopt when that window cannot be encoded for its deployment
+  /// (outside its domain) — such a row fails alone and is not charged.
   ///
   /// When `stages` is non-null the encode/forward/rank wall-clock split is
-  /// written into it (the timing reads cost three extra clock calls; passing
-  /// nullptr — the default — keeps the call exactly as before).
-  [[nodiscard]] std::vector<std::vector<std::uint16_t>> predict_top_k_batch(
-      std::span<const mobility::Window> windows, std::size_t k,
-      PredictStageSeconds* stages = nullptr);
+  /// written into it (three extra clock reads; nullptr skips them).
+  [[nodiscard]] static std::vector<std::optional<std::vector<std::uint16_t>>>
+  predict_top_k_shared(std::span<const SharedRow> rows,
+                       PredictStageSeconds* stages = nullptr);
 
   [[nodiscard]] DeploymentSite site() const noexcept { return site_; }
   [[nodiscard]] std::size_t query_count() const noexcept {
@@ -164,17 +193,17 @@ class DeployedModel final : public attack::BlackBoxModel {
     return model_version_;
   }
 
+  /// The served model (immutable; its layers may be shared with other
+  /// deployments).
+  [[nodiscard]] const nn::InferenceModel& model() const noexcept {
+    return *model_;
+  }
+
   /// True when this deployment serves an int8 artifact (the store published
   /// it with PublishFormat::kInt8). Queries then run the dequant-free
   /// quantized kernels; answers track an fp32 deployment of the same weights
   /// within the nn/quant.hpp tolerance rather than bit-identically.
-  [[nodiscard]] bool quantized() const { return nn::is_quantized(model_); }
-
-  /// Forwards to the model (nn/activations.hpp): opt this deployment into
-  /// (or back out of) the bounded-error fast activation kernels.
-  void set_activation_mode(nn::ActivationMode mode) noexcept {
-    model_.set_activation_mode(mode);
-  }
+  [[nodiscard]] bool quantized() const { return model_->quantized(); }
 
   /// Model-update bookkeeping: the attack query budget is cumulative per
   /// USER, not per model object, so a replacement deployment published for
@@ -184,28 +213,28 @@ class DeployedModel final : public attack::BlackBoxModel {
   }
 
   /// Replaces the model in place (on-device Pelican model update, Section
-  /// V-A4). The serving engine's multi-user path does NOT use this — it
-  /// publishes a whole replacement DeployedModel so in-flight forwards keep
-  /// a consistent model (serve::DeploymentRegistry::publish).
-  void swap_model(nn::SequenceClassifier model) { model_ = std::move(model); }
-
-  /// Owner-only access (the user's device); not part of the service API.
-  [[nodiscard]] nn::SequenceClassifier& owner_model() noexcept {
-    return model_;
+  /// V-A4). Not safe against concurrent queries of this object: the serving
+  /// engine's multi-user path publishes a whole replacement DeployedModel
+  /// instead (serve::DeploymentRegistry::publish).
+  void swap_model(nn::SequenceClassifier model) {
+    swap_model(std::make_shared<const nn::InferenceModel>(std::move(model)));
   }
+  void swap_model(std::shared_ptr<const nn::InferenceModel> model);
 
  private:
-  void add_queries(std::size_t rows) noexcept {
+  /// Charges `rows` queries to the budget. Const: the counter is shared
+  /// bookkeeping behind a pointer, not part of the deployment's value.
+  void add_queries(std::size_t rows) const noexcept {
     queries_->fetch_add(rows, std::memory_order_relaxed);
   }
 
-  nn::SequenceClassifier model_;
+  std::shared_ptr<const nn::InferenceModel> model_;
   mobility::EncodingSpec spec_;
   PrivacyLayer privacy_;
   DeploymentSite site_;
   std::uint32_t model_version_ = 0;
   // Atomic: a publisher snapshots the count (DeploymentRegistry::publish)
-  // while serving threads add to it under only their per-deployment lock.
+  // while serving threads add to it concurrently.
   // Behind a shared_ptr for address stability: scoring replicas (see
   // replicate()) hold the same counter, and the deployment itself may move
   // between containers/tiers while they do.

@@ -19,6 +19,14 @@ class Dropout final : public SequenceLayer {
   Dropout(double rate, std::size_t dim, std::uint64_t seed);
 
   Sequence forward(const Sequence& input, bool training) override;
+  /// Inference is the identity.
+  [[nodiscard]] Sequence infer(const Sequence& input) const override {
+    return input;
+  }
+  /// Only the width decides infer()'s (identity) output; the rate does not.
+  [[nodiscard]] LayerContent content() const override {
+    return {kind(), {dim_}, {}};
+  }
   Sequence backward(const Sequence& grad_output) override;
 
   std::vector<Matrix*> parameters() override { return {}; }

@@ -11,24 +11,38 @@ Linear::Linear(std::size_t in_dim, std::size_t out_dim, Rng& rng)
       grad_bias_(1, out_dim, 0.0f) {}
 
 Matrix Linear::forward(const Matrix& x) {
+  Matrix y = infer(x);
+  if (!is_quantized()) {
+    cached_input_ = x;
+    cached_sparse_ = SparseRows();
+  }
+  return y;
+}
+
+Matrix Linear::forward(const SparseRows& x) {
+  Matrix y = infer(x);
+  if (!is_quantized()) {
+    cached_input_ = Matrix();
+    cached_sparse_ = x;
+  }
+  return y;
+}
+
+Matrix Linear::infer(const Matrix& x) const {
   if (x.cols() != input_dim()) {
     throw std::invalid_argument("Linear::forward: input width mismatch");
   }
   Matrix y;
   if (is_quantized()) {
-    // Inference-only: no input cache (backward throws anyway).
     qmatmul_bt(x, qweight_, y);
-    add_row_broadcast(y, bias_.row(0));
-    return y;
+  } else {
+    matmul_bt(x, weight_, y);
   }
-  cached_input_ = x;
-  cached_sparse_ = SparseRows();
-  matmul_bt(x, weight_, y);
   add_row_broadcast(y, bias_.row(0));
   return y;
 }
 
-Matrix Linear::forward(const SparseRows& x) {
+Matrix Linear::infer(const SparseRows& x) const {
   if (x.cols() != input_dim()) {
     throw std::invalid_argument("Linear::forward: input width mismatch");
   }
@@ -49,14 +63,23 @@ Matrix Linear::forward(const SparseRows& x) {
         dst[j] = acc * qweight_.scale(j);
       }
     }
-    add_row_broadcast(y, bias_.row(0));
-    return y;
+  } else {
+    sparse_matmul_bt(x, weight_, y);
   }
-  cached_input_ = Matrix();
-  cached_sparse_ = x;
-  sparse_matmul_bt(x, weight_, y);
   add_row_broadcast(y, bias_.row(0));
   return y;
+}
+
+LayerContent Linear::content() const {
+  if (is_quantized()) {
+    return {"qlinear",
+            {qweight_.rows(), qweight_.cols()},
+            {std::as_bytes(qweight_.values()), std::as_bytes(qweight_.scales()),
+             std::as_bytes(bias_.flat())}};
+  }
+  return {"linear",
+          {weight_.rows(), weight_.cols()},
+          {std::as_bytes(weight_.flat()), std::as_bytes(bias_.flat())}};
 }
 
 Linear Linear::quantized() const {

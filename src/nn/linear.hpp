@@ -8,6 +8,7 @@
 
 #include "common/rng.hpp"
 #include "common/serialize.hpp"
+#include "nn/layer.hpp"
 #include "nn/matrix.hpp"
 #include "nn/quant.hpp"
 #include "nn/sparse.hpp"
@@ -21,13 +22,23 @@ class Linear {
   /// Xavier-initialized weight (out_dim x in_dim), zero bias.
   Linear(std::size_t in_dim, std::size_t out_dim, Rng& rng);
 
-  /// y = x W^T + b. Caches x for backward.
+  /// y = x W^T + b. Caches x for backward (fp32 heads; an int8 head has no
+  /// backward and caches nothing).
   [[nodiscard]] Matrix forward(const Matrix& x);
 
   /// One-hot fast path: x W^T as nnz row gathers of W^T. Bit-identical to
   /// forward(x.to_dense()) for finite weights (nn/sparse.hpp); backward()
   /// works after either forward.
   [[nodiscard]] Matrix forward(const SparseRows& x);
+
+  /// The same products as forward(), cache-free and const — forward() is
+  /// infer() plus the input cache, so the two cannot drift apart.
+  [[nodiscard]] Matrix infer(const Matrix& x) const;
+  [[nodiscard]] Matrix infer(const SparseRows& x) const;
+
+  /// What decides infer()'s output: storage format, shape, weights (int8
+  /// values and scales for a quantized head) and bias — not trainable().
+  [[nodiscard]] LayerContent content() const;
 
   /// Accumulates dW, db; returns dx. Throws std::logic_error on a
   /// quantized (inference-only) layer.

@@ -22,15 +22,17 @@ Lstm::Lstm(std::size_t input_dim, std::size_t hidden_dim, Rng& rng)
 
 template <typename InputProduct>
 Sequence Lstm::run_forward(std::size_t steps, std::size_t batch,
-                           InputProduct&& input_product) {
+                           InputProduct&& input_product,
+                           StepCache* cache) const {
   const std::size_t hidden = hidden_dim();
-
-  cache_.clear();
-  cache_.resize(steps);
   Sequence output(steps);
 
   Matrix h_prev(batch, hidden, 0.0f);
   Matrix c_prev(batch, hidden, 0.0f);
+  // Inference scratch for c_t and tanh(c_t); forward writes both into its
+  // step cache instead (backward reads them).
+  Matrix c_next;
+  Matrix tanh_c;
 
   // The recurrence weight is invariant across timesteps, so one pack is
   // shared by every step's product when the total work amortizes it: the
@@ -46,16 +48,18 @@ Sequence Lstm::run_forward(std::size_t steps, std::size_t batch,
   Matrix hidden_chain;
 
   for (std::size_t t = 0; t < steps; ++t) {
-    StepCache& step = cache_[t];
-    step.prev_hidden = h_prev;
-    step.prev_cell = c_prev;
+    StepCache* step = cache != nullptr ? &cache[t] : nullptr;
+    if (step != nullptr) {
+      step->prev_hidden = h_prev;
+      step->prev_cell = c_prev;
+    }
 
     // Pre-activations: gates = x W_ih^T + h_prev W_hh^T + b. The input
     // product is supplied by the caller (dense GEMM or sparse gather);
     // both leave gates with identical bits, so everything downstream is
     // shared.
     Matrix gates;
-    input_product(t, step, gates);
+    input_product(t, gates);
     if (pack_recurrence) {
       matmul(h_prev, w_hh_t, hidden_chain);
       gates += hidden_chain;
@@ -63,8 +67,10 @@ Sequence Lstm::run_forward(std::size_t steps, std::size_t batch,
       matmul_bt(h_prev, w_hh_, gates, /*accumulate=*/true);
     }
 
-    step.cell.resize(batch, hidden);
-    step.tanh_cell.resize(batch, hidden);
+    Matrix& cell = step != nullptr ? step->cell : c_next;
+    Matrix& tanh_cell = step != nullptr ? step->tanh_cell : tanh_c;
+    cell.resize(batch, hidden);
+    tanh_cell.resize(batch, hidden);
     Matrix h_next(batch, hidden);
 
     // Bias add, gate activations, and the cell update in ONE sweep over the
@@ -73,21 +79,24 @@ Sequence Lstm::run_forward(std::size_t steps, std::size_t batch,
     const float* bias = bias_.row(0).data();
     for (std::size_t r = 0; r < batch; ++r) {
       lstm_gate_pass(gates.data() + r * 4 * hidden, bias,
-                     c_prev.data() + r * hidden,
-                     step.cell.data() + r * hidden,
-                     step.tanh_cell.data() + r * hidden,
+                     c_prev.data() + r * hidden, cell.data() + r * hidden,
+                     tanh_cell.data() + r * hidden,
                      h_next.data() + r * hidden, hidden, mode_);
     }
 
-    step.gates = std::move(gates);
+    if (step != nullptr) {
+      step->gates = std::move(gates);
+      c_prev = step->cell;
+    } else {
+      std::swap(c_prev, c_next);
+    }
     h_prev = h_next;
-    c_prev = step.cell;
     output[t] = std::move(h_next);
   }
   return output;
 }
 
-Sequence Lstm::forward(const Sequence& input, bool /*training*/) {
+Sequence Lstm::dense_forward(const Sequence& input, StepCache* cache) const {
   if (input.empty()) throw std::invalid_argument("Lstm::forward: empty input");
   const std::size_t batch = input[0].rows();
   // Hoist the input-weight pack out of the timestep loop when the total
@@ -96,23 +105,24 @@ Sequence Lstm::forward(const Sequence& input, bool /*training*/) {
   // either way.
   Matrix w_ih_t;
   if (batch * input.size() >= kGemmPackMinRows) transposed(w_ih_, w_ih_t);
-  return run_forward(input.size(), batch,
-                     [&](std::size_t t, StepCache& step, Matrix& gates) {
-                       const Matrix& x = input[t];
-                       if (x.cols() != input_dim() || x.rows() != batch) {
-                         throw std::invalid_argument(
-                             "Lstm::forward: input shape mismatch");
-                       }
-                       step.input = x;
-                       if (w_ih_t.empty()) {
-                         matmul_bt(x, w_ih_, gates);
-                       } else {
-                         matmul(x, w_ih_t, gates);
-                       }
-                     });
+  return run_forward(
+      input.size(), batch,
+      [&](std::size_t t, Matrix& gates) {
+        const Matrix& x = input[t];
+        if (x.cols() != input_dim() || x.rows() != batch) {
+          throw std::invalid_argument("Lstm::forward: input shape mismatch");
+        }
+        if (w_ih_t.empty()) {
+          matmul_bt(x, w_ih_, gates);
+        } else {
+          matmul(x, w_ih_t, gates);
+        }
+      },
+      cache);
 }
 
-Sequence Lstm::forward_sparse(const SparseSequence& input, bool /*training*/) {
+Sequence Lstm::sparse_forward(const SparseSequence& input,
+                              StepCache* cache) const {
   if (input.empty()) {
     throw std::invalid_argument("Lstm::forward_sparse: empty input");
   }
@@ -126,20 +136,54 @@ Sequence Lstm::forward_sparse(const SparseSequence& input, bool /*training*/) {
   Matrix w_ih_t;
   if (total_nnz >= input_dim()) w_ih_t = transposed(w_ih_);
 
-  return run_forward(input.size(), batch,
-                     [&](std::size_t t, StepCache& step, Matrix& gates) {
-                       const SparseRows& x = input[t];
-                       if (x.cols() != input_dim() || x.rows() != batch) {
-                         throw std::invalid_argument(
-                             "Lstm::forward_sparse: input shape mismatch");
-                       }
-                       step.sparse_input = x;
-                       if (w_ih_t.empty()) {
-                         sparse_matmul_bt(x, w_ih_, gates);
-                       } else {
-                         sparse_matmul_pre_t(x, w_ih_t, gates);
-                       }
-                     });
+  return run_forward(
+      input.size(), batch,
+      [&](std::size_t t, Matrix& gates) {
+        const SparseRows& x = input[t];
+        if (x.cols() != input_dim() || x.rows() != batch) {
+          throw std::invalid_argument(
+              "Lstm::forward_sparse: input shape mismatch");
+        }
+        if (w_ih_t.empty()) {
+          sparse_matmul_bt(x, w_ih_, gates);
+        } else {
+          sparse_matmul_pre_t(x, w_ih_t, gates);
+        }
+      },
+      cache);
+}
+
+Sequence Lstm::forward(const Sequence& input, bool /*training*/) {
+  cache_.clear();
+  cache_.resize(input.size());
+  Sequence output = dense_forward(input, cache_.data());
+  for (std::size_t t = 0; t < input.size(); ++t) cache_[t].input = input[t];
+  return output;
+}
+
+Sequence Lstm::forward_sparse(const SparseSequence& input, bool /*training*/) {
+  cache_.clear();
+  cache_.resize(input.size());
+  Sequence output = sparse_forward(input, cache_.data());
+  for (std::size_t t = 0; t < input.size(); ++t) {
+    cache_[t].sparse_input = input[t];
+  }
+  return output;
+}
+
+Sequence Lstm::infer(const Sequence& input) const {
+  return dense_forward(input, nullptr);
+}
+
+Sequence Lstm::infer_sparse(const SparseSequence& input) const {
+  return sparse_forward(input, nullptr);
+}
+
+LayerContent Lstm::content() const {
+  return {kind(),
+          {input_dim(), hidden_dim(), static_cast<std::uint64_t>(mode_)},
+          {std::as_bytes(w_ih_.flat()), std::as_bytes(w_hh_.flat()),
+           std::as_bytes(bias_.flat())}};
 }
 
 Sequence Lstm::backward(const Sequence& grad_output) {

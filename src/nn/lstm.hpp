@@ -30,6 +30,12 @@ class Lstm final : public SequenceLayer {
   /// after either forward.
   Sequence forward_sparse(const SparseSequence& input, bool training) override;
 
+  /// Cache-free forwards: the same step kernel with its cache writes off.
+  [[nodiscard]] Sequence infer(const Sequence& input) const override;
+  [[nodiscard]] Sequence infer_sparse(
+      const SparseSequence& input) const override;
+  [[nodiscard]] LayerContent content() const override;
+
   Sequence backward(const Sequence& grad_output) override;
 
   std::vector<Matrix*> parameters() override {
@@ -93,11 +99,20 @@ class Lstm final : public SequenceLayer {
   };
   std::vector<StepCache> cache_;
 
-  /// Shared body of both forwards: runs the recurrence with `input_product`
-  /// supplying this timestep's x·W_ih^T pre-activations.
+  /// The one step kernel under forward and infer, dense and sparse: runs
+  /// the recurrence with `input_product` supplying this timestep's x·W_ih^T
+  /// pre-activations. With `cache` non-null (forward) it also records every
+  /// step's backward state there — `steps` entries; with nullptr (infer) it
+  /// writes nothing outside its locals.
   template <typename InputProduct>
   Sequence run_forward(std::size_t steps, std::size_t batch,
-                       InputProduct&& input_product);
+                       InputProduct&& input_product, StepCache* cache) const;
+
+  /// Dense and sparse bodies shared by forward and infer (`cache` as in
+  /// run_forward). Neither stores its input; forward copies it afterwards.
+  Sequence dense_forward(const Sequence& input, StepCache* cache) const;
+  Sequence sparse_forward(const SparseSequence& input,
+                          StepCache* cache) const;
 };
 
 }  // namespace pelican::nn

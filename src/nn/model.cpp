@@ -82,6 +82,14 @@ Matrix SequenceClassifier::forward(const SparseSequence& input,
   return head_.forward(activations.back());
 }
 
+Matrix SequenceClassifier::infer(const Sequence& input) const {
+  return detail::infer_stack(layers_, head_, input);
+}
+
+Matrix SequenceClassifier::infer(const SparseSequence& input) const {
+  return detail::infer_stack(layers_, head_, input);
+}
+
 Matrix SequenceClassifier::predict_proba(const Sequence& input,
                                          double temperature) {
   return softmax(forward(input, /*training=*/false), temperature);

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "common/serialize.hpp"
@@ -60,6 +61,11 @@ class SequenceClassifier {
   [[nodiscard]] Matrix forward(const SparseSequence& input,
                                bool training = false);
 
+  /// Const, cache-free inference: bit-identical to forward(input, false)
+  /// (each layer's infer() shares its step kernel with forward()).
+  [[nodiscard]] Matrix infer(const Sequence& input) const;
+  [[nodiscard]] Matrix infer(const SparseSequence& input) const;
+
   /// Backpropagates from dL/dlogits; accumulates parameter gradients and
   /// returns dL/dinput (full sequence), enabling input-space attacks.
   [[nodiscard]] Sequence backward(const Matrix& grad_logits);
@@ -95,11 +101,40 @@ class SequenceClassifier {
   static SequenceClassifier load_file(const std::filesystem::path& path);
 
  private:
+  friend class InferenceModel;  // takes the layers over, see its constructor
+
   std::vector<std::unique_ptr<SequenceLayer>> layers_;
   Linear head_;
   std::size_t cached_batch_ = 0;
   std::size_t cached_steps_ = 0;
 };
+
+namespace detail {
+
+inline Sequence infer_first(const SequenceLayer& layer, const Sequence& x) {
+  return layer.infer(x);
+}
+inline Sequence infer_first(const SequenceLayer& layer,
+                            const SparseSequence& x) {
+  return layer.infer_sparse(x);
+}
+
+/// The const inference walk shared by SequenceClassifier::infer and
+/// InferenceModel::infer: the first layer reads `input` (dense or sparse),
+/// each later layer the previous output, the head the last timestep.
+template <typename Layers, typename Input>
+Matrix infer_stack(const Layers& layers, const Linear& head,
+                   const Input& input) {
+  if (input.empty()) throw std::invalid_argument("infer: empty input");
+  if (layers.empty()) return head.infer(input.back());
+  Sequence activations = infer_first(*layers.front(), input);
+  for (std::size_t i = 1; i < layers.size(); ++i) {
+    activations = layers[i]->infer(activations);
+  }
+  return head.infer(activations.back());
+}
+
+}  // namespace detail
 
 /// Builds the paper's general next-location model (Fig. 1a): two LSTM layers
 /// with dropout in between, followed by a linear head.

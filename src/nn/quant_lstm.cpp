@@ -21,7 +21,7 @@ QuantizedLstm::QuantizedLstm(QuantizedMatrix w_ih, QuantizedMatrix w_hh,
 
 template <typename InputProduct>
 Sequence QuantizedLstm::run_forward(std::size_t steps, std::size_t batch,
-                                    InputProduct&& input_product) {
+                                    InputProduct&& input_product) const {
   const std::size_t hidden = hidden_dim();
   Sequence output(steps);
 
@@ -51,7 +51,7 @@ Sequence QuantizedLstm::run_forward(std::size_t steps, std::size_t batch,
   return output;
 }
 
-Sequence QuantizedLstm::forward(const Sequence& input, bool /*training*/) {
+Sequence QuantizedLstm::infer(const Sequence& input) const {
   if (input.empty()) {
     throw std::invalid_argument("QuantizedLstm::forward: empty input");
   }
@@ -65,8 +65,7 @@ Sequence QuantizedLstm::forward(const Sequence& input, bool /*training*/) {
   });
 }
 
-Sequence QuantizedLstm::forward_sparse(const SparseSequence& input,
-                                       bool /*training*/) {
+Sequence QuantizedLstm::infer_sparse(const SparseSequence& input) const {
   if (input.empty()) {
     throw std::invalid_argument("QuantizedLstm::forward_sparse: empty input");
   }
@@ -79,6 +78,15 @@ Sequence QuantizedLstm::forward_sparse(const SparseSequence& input,
     }
     sparse_qmatmul_pre_t(x, w_ih_t_, w_ih_.scales(), gates);
   });
+}
+
+LayerContent QuantizedLstm::content() const {
+  // The transposed panels derive from the values, so the key skips them.
+  return {kind(),
+          {input_dim(), hidden_dim(), static_cast<std::uint64_t>(mode_)},
+          {std::as_bytes(w_ih_.values()), std::as_bytes(w_ih_.scales()),
+           std::as_bytes(w_hh_.values()), std::as_bytes(w_hh_.scales()),
+           std::as_bytes(bias_.flat())}};
 }
 
 Sequence QuantizedLstm::backward(const Sequence& /*grad_output*/) {

@@ -33,8 +33,18 @@ class QuantizedLstm final : public SequenceLayer {
   /// is 4H floats total and feeds the fused gate pass directly).
   QuantizedLstm(QuantizedMatrix w_ih, QuantizedMatrix w_hh, Matrix bias);
 
-  Sequence forward(const Sequence& input, bool training) override;
-  Sequence forward_sparse(const SparseSequence& input, bool training) override;
+  /// Both forwards are infer(): the layer has no cache to fill.
+  Sequence forward(const Sequence& input, bool /*training*/) override {
+    return infer(input);
+  }
+  Sequence forward_sparse(const SparseSequence& input,
+                          bool /*training*/) override {
+    return infer_sparse(input);
+  }
+  [[nodiscard]] Sequence infer(const Sequence& input) const override;
+  [[nodiscard]] Sequence infer_sparse(
+      const SparseSequence& input) const override;
+  [[nodiscard]] LayerContent content() const override;
 
   /// Quantized layers are inference-only; the fp32 original is the
   /// trainable artifact.
@@ -73,7 +83,7 @@ class QuantizedLstm final : public SequenceLayer {
   /// pre-activation gates (dense int8 product or sparse panel gather).
   template <typename InputProduct>
   Sequence run_forward(std::size_t steps, std::size_t batch,
-                       InputProduct&& input_product);
+                       InputProduct&& input_product) const;
 
   QuantizedMatrix w_ih_;              // 4H x I, per-row scales
   QuantizedMatrix w_hh_;              // 4H x H, per-row scales

@@ -12,7 +12,7 @@
 //                      responses in request order. Responses are
 //                      bit-identical to direct ServingEngine calls: the wire
 //                      carries discretized features and location ids only,
-//                      and the engine runs the same predict_top_k_batch.
+//                      and the engine runs the same per-row kernels.
 //   deploy/publish     routed to the owning process only (never broadcast);
 //                      models flow through the fleet-shared
 //                      store::FilesystemBackend, so the wire carries keys,

@@ -17,6 +17,7 @@ std::size_t DeploymentRegistry::shard_of(
 
 DeploymentHandle DeploymentRegistry::deploy(std::uint32_t user_id,
                                             core::DeployedModel model) {
+  model.swap_model(interner_.intern(model.model()));
   auto deployed = std::make_shared<core::DeployedModel>(std::move(model));
   std::shared_ptr<DeploymentHandle::Slot> slot;
   {
@@ -116,8 +117,8 @@ void DeploymentRegistry::install_replacement(
   const std::shared_ptr<const core::DeployedModel> current =
       slot_handle.snapshot();
   auto next = std::make_shared<core::DeployedModel>(
-      std::move(model), current->spec(), current->privacy(), current->site(),
-      version);
+      interner_.intern(nn::InferenceModel(std::move(model))), current->spec(),
+      current->privacy(), current->site(), version);
   // The attack query budget is cumulative per user across model versions.
   // The count is snapshotted here; a forward in flight during the swap may
   // add its rows to the retiring model only — an undercount bounded by one

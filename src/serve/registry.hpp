@@ -5,14 +5,17 @@
 // The registry maps user ids to deployment SLOTS across N independently
 // locked shards. A shard's lock protects only the map — it is held for a
 // hash lookup, never for model work. All model access goes through
-// DeploymentHandle, a stable reference to one user's slot with two locks of
-// its own:
+// DeploymentHandle, a stable reference to one user's slot. The slot's one
+// lock, ptr_mutex, guards the shared_ptr<DeployedModel> itself and is held
+// only for pointer copies/swaps (nanoseconds), never across model work:
+// deployed models are immutable and run only the const infer() forward, so
+// any number of threads may serve one user's model at once.
 //
-//   serve_mutex — serializes forwards. Forward passes mutate per-model
-//       activation caches, so per-user exclusivity is a correctness
-//       requirement; distinct users never share this lock.
-//   ptr_mutex   — guards the shared_ptr<DeployedModel> itself, held only
-//       for pointer copies/swaps (nanoseconds), never across model work.
+// Every model the registry receives (deploy, publish, swap_model,
+// adopt_hosted) is interned first (serve/interner.hpp): each layer and the
+// head is replaced by the engine's one resident copy of that content, so
+// the frozen trunk every personalized model inherits is held once per
+// engine, however many users deploy it.
 //
 // Model updates (the paper's Section V-A4 re-personalize-and-redeploy loop)
 // therefore never stall serving: publish() builds the replacement model
@@ -35,6 +38,7 @@
 #include "common/mutex.hpp"
 #include "core/cloud.hpp"
 #include "core/service.hpp"
+#include "serve/interner.hpp"
 #include "store/model_store.hpp"
 
 namespace pelican::serve {
@@ -51,30 +55,33 @@ class DeploymentHandle {
     return slot_ != nullptr;
   }
 
-  /// Runs `fn(DeployedModel&)` with this deployment's serve lock held and
-  /// returns its result. Only requests for the SAME user contend here.
+  /// Runs `fn(DeployedModel&)` on a snapshot of the current deployment and
+  /// returns its result. Takes no lock across `fn`: queries are const
+  /// forwards, so concurrent callers — even for the same user — run in
+  /// parallel. (DeployedModel::swap_model through `fn` would race them; the
+  /// registry's publish/swap_model install a replacement instead.)
   template <typename Fn>
   decltype(auto) with_model(Fn&& fn) const {
     require();
-    const MutexLock serve_lock(slot_->serve_mutex);
     // Snapshot the pointer under ptr_mutex: a concurrent publish may swap
-    // it at any moment, and this forward must run on one consistent model.
+    // it at any moment, and `fn` must run on one consistent model.
     const std::shared_ptr<core::DeployedModel> model = slot_->load();
     return std::forward<Fn>(fn)(*model);
   }
 
-  /// Shared-ownership snapshot of the current model for metadata reads
-  /// (version, temperature, spec). Do NOT run forwards through it: forwards
-  /// are stateful and require the serve lock that with_model takes.
+  /// Shared-ownership snapshot of the current deployment. Serve through it
+  /// freely (its forwards are const); it keeps serving the snapshotted model
+  /// version even if a publish replaces it meanwhile.
   [[nodiscard]] std::shared_ptr<const core::DeployedModel> snapshot() const {
     require();
     return slot_->load();
   }
 
   /// Installs `next` as this deployment's model with an atomic pointer
-  /// swap. Does not take the serve lock: an in-flight forward finishes on
-  /// the old model (kept alive by its snapshot) while later requests see
-  /// `next`. Returns the model that was replaced.
+  /// swap: an in-flight forward finishes on the old model (kept alive by
+  /// its snapshot) while later requests see `next`. Installs `next` as is —
+  /// the registry's own entry points intern before they get here. Returns
+  /// the model that was replaced.
   std::shared_ptr<core::DeployedModel> publish(
       std::shared_ptr<core::DeployedModel> next) const {
     require();
@@ -88,10 +95,6 @@ class DeploymentHandle {
   friend class DeploymentRegistry;
 
   struct Slot {
-    /// Serializes forwards on this deployment (never guards a member —
-    /// forward passes mutate per-model activation caches through the
-    /// shared_ptr, which the analysis cannot attribute to a field).
-    mutable Mutex serve_mutex;
     mutable Mutex ptr_mutex;
     std::shared_ptr<core::DeployedModel> model PELICAN_GUARDED_BY(ptr_mutex);
 
@@ -194,21 +197,31 @@ class DeploymentRegistry {
   /// shard in turn, so the snapshot is per-shard consistent).
   [[nodiscard]] std::vector<std::uint32_t> user_ids() const;
 
-  /// Runs `fn(DeployedModel&)` with only this deployment's serve lock held
-  /// and returns its result; the shard lock is held just for the handle
-  /// lookup. Throws std::out_of_range when the user is not deployed.
+  /// Runs `fn(DeployedModel&)` on a snapshot of the user's deployment (see
+  /// DeploymentHandle::with_model) and returns its result; the shard lock
+  /// is held just for the handle lookup. Throws std::out_of_range when the
+  /// user is not deployed.
   template <typename Fn>
   decltype(auto) with_model(std::uint32_t user_id, Fn&& fn) const {
     return handle(user_id).with_model(std::forward<Fn>(fn));
   }
 
+  /// Distinct layers (and heads) resident across every deployment, and
+  /// their weight bytes: with N users on one shared trunk this stays at one
+  /// model's worth, not N.
+  [[nodiscard]] LayerInterner::Residency residency() const {
+    return interner_.residency();
+  }
+
  private:
-  /// Shared tail of publish/swap_model: wraps `model` in a DeployedModel
-  /// inheriting the slot's spec, privacy layer, site, and cumulative query
-  /// count, then installs it atomically.
-  static void install_replacement(const DeploymentHandle& slot_handle,
-                                  nn::SequenceClassifier model,
-                                  std::uint32_t version);
+  /// Shared tail of publish/swap_model: interns `model`, wraps it in a
+  /// DeployedModel inheriting the slot's spec, privacy layer, site, and
+  /// cumulative query count, then installs it atomically.
+  void install_replacement(const DeploymentHandle& slot_handle,
+                           nn::SequenceClassifier model,
+                           std::uint32_t version);
+
+  LayerInterner interner_;
 
   struct Shard {
     mutable Mutex mutex;

@@ -1,8 +1,9 @@
 #include "serve/scheduler.hpp"
 
 #include <algorithm>
-#include <map>
+#include <optional>
 #include <stdexcept>
+#include <unordered_map>
 #include <utility>
 
 #include "common/thread_pool.hpp"
@@ -51,6 +52,15 @@ BatchScheduler::~BatchScheduler() {
   drainer_.join();
 }
 
+void BatchScheduler::deliver(Pending& pending, PredictResponse response) {
+  if (auto* const* slot = std::get_if<PredictResponse*>(&pending.reply)) {
+    **slot = std::move(response);
+  } else {
+    std::get<std::promise<PredictResponse>>(pending.reply)
+        .set_value(std::move(response));
+  }
+}
+
 void BatchScheduler::answer_rejected(Pending pending) {
   PredictResponse response;
   response.user_id = pending.request.user_id;
@@ -60,7 +70,7 @@ void BatchScheduler::answer_rejected(Pending pending) {
                             Clock::now() - pending.enqueued)
                             .count();
   stats_.record_shed();
-  pending.promise.set_value(std::move(response));
+  deliver(pending, std::move(response));
 }
 
 std::future<PredictResponse> BatchScheduler::submit(PredictRequest request) {
@@ -72,7 +82,8 @@ std::future<PredictResponse> BatchScheduler::submit(PredictRequest request) {
   // a counter bump and this branch, nothing else (see the <= 2% overhead
   // row in bench/serve_throughput).
   if (pending.request.trace_id != 0) pending.submit_ns = obs::now_ns();
-  std::future<PredictResponse> future = pending.promise.get_future();
+  std::future<PredictResponse> future =
+      pending.reply.emplace<std::promise<PredictResponse>>().get_future();
 
   std::vector<Pending> shed;  // answered after the lock is released
   {
@@ -119,27 +130,24 @@ std::vector<PredictResponse> BatchScheduler::serve(
     std::span<const PredictRequest> requests) {
   const Clock::time_point entered = Clock::now();
   const std::uint64_t entered_ns = obs::now_ns();
+  // No queue, so no promises: execute() writes each answer straight into
+  // its slot here.
+  std::vector<PredictResponse> responses(requests.size());
   std::vector<Pending> items;
   items.reserve(requests.size());
-  std::vector<std::future<PredictResponse>> futures;
-  futures.reserve(requests.size());
-  for (const PredictRequest& request : requests) {
+  for (std::size_t i = 0; i < requests.size(); ++i) {
     Pending pending;
-    pending.request = request;
+    pending.request = requests[i];
+    pending.reply = &responses[i];
     pending.enqueued = entered;
     // The sync path has no queue: "queue wait" degenerates to serve-entry ->
     // chunk pickup, which still captures scheduling delay under load.
     pending.submit_ns = entered_ns;
     pending.admitted_ns = entered_ns;
     maybe_sample_trace(pending.request);
-    futures.push_back(pending.promise.get_future());
     items.push_back(std::move(pending));
   }
   execute(std::move(items));
-
-  std::vector<PredictResponse> responses;
-  responses.reserve(futures.size());
-  for (auto& future : futures) responses.push_back(future.get());
   return responses;
 }
 
@@ -222,76 +230,98 @@ void BatchScheduler::execute(std::vector<Pending> items) {
       });
   const std::uint64_t pickup_ns = instrument ? obs::now_ns() : 0;
 
-  // Coalesce: group request indices by (user, k) in arrival order, then cut
-  // each group into max_batch chunks. std::map keeps chunk construction
-  // deterministic given the same input order.
-  std::map<std::pair<std::uint32_t, std::size_t>, std::vector<std::size_t>>
-      groups;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    groups[{items[i].request.user_id, items[i].request.k}].push_back(i);
+  // Snapshot each row's deployment, once per user per drain, so all of a
+  // user's rows run on one consistent model even if a publish lands now.
+  std::vector<std::shared_ptr<const core::DeployedModel>> deployments(
+      items.size());
+  {
+    std::unordered_map<std::uint32_t,
+                       std::shared_ptr<const core::DeployedModel>>
+        by_user;
+    by_user.reserve(items.size());
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      const std::uint32_t user_id = items[i].request.user_id;
+      const auto [it, fresh] = by_user.try_emplace(user_id);
+      if (fresh) {
+        if (const DeploymentHandle found = registry_.find_handle(user_id)) {
+          it->second = found.snapshot();
+        }
+      }
+      deployments[i] = it->second;
+    }
   }
-  struct Chunk {
-    std::uint32_t user_id = 0;
-    std::size_t k = 0;
-    std::span<const std::size_t> indices;
-  };
-  std::vector<Chunk> chunks;
-  for (const auto& [key, indices] : groups) {
+
+  // Coalesce across users: group rows by the identity of their model's
+  // first layer (interned, so every user on one trunk shares it; rows of
+  // undeployed users group under null), in arrival order, and cut each
+  // group into max_batch chunks. Deeper layers re-split inside the forward
+  // (nn::infer_shared). Arrival order keeps chunking deterministic.
+  std::unordered_map<const void*, std::size_t> group_of;
+  std::vector<std::vector<std::size_t>> groups;
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    const void* key = deployments[i] == nullptr
+                          ? nullptr
+                          : deployments[i]->model().stage_identity(0);
+    const auto [it, fresh] = group_of.try_emplace(key, groups.size());
+    if (fresh) groups.emplace_back();
+    groups[it->second].push_back(i);
+  }
+  std::vector<std::span<const std::size_t>> chunks;
+  for (const auto& indices : groups) {
     for (std::size_t start = 0; start < indices.size();
          start += config_.max_batch) {
-      const std::size_t count =
-          std::min(config_.max_batch, indices.size() - start);
-      chunks.push_back({key.first, key.second,
-                        std::span<const std::size_t>(indices).subspan(start,
-                                                                      count)});
+      chunks.push_back(std::span<const std::size_t>(indices).subspan(
+          start, std::min(config_.max_batch, indices.size() - start)));
     }
   }
   const std::uint64_t assembled_ns = instrument ? obs::now_ns() : 0;
 
-  // One pool task per coalesced batch: chunks of distinct users run
-  // concurrently; chunks of the same user serialize on that deployment's
-  // serve lock (never on a shard or registry lock).
+  // One pool task per chunk. Deployed models are immutable and forward
+  // through const infer(), so chunks never wait on one another — not even
+  // two chunks of the same user.
   parallel_for(chunks.size(), [&](std::size_t c) {
-    const Chunk& chunk = chunks[c];
-    std::vector<mobility::Window> windows;
-    windows.reserve(chunk.indices.size());
-    for (const std::size_t i : chunk.indices) {
-      windows.push_back(items[i].request.window);
-    }
+    const std::span<const std::size_t> chunk = chunks[c];
+    const bool deployed = deployments[chunk.front()] != nullptr;
 
     // A chunk is measured iff it carries a traced row; its stage costs are
     // then attributed to every traced row (they shared that one forward).
     const bool measured =
         instrument &&
-        std::any_of(chunk.indices.begin(), chunk.indices.end(),
-                    [&](std::size_t i) {
-                      return items[i].request.trace_id != 0;
-                    });
+        std::any_of(chunk.begin(), chunk.end(), [&](std::size_t i) {
+          return items[i].request.trace_id != 0;
+        });
 
-    std::vector<std::vector<std::uint16_t>> results;
-    std::uint32_t model_version = 0;
-    bool ok = true;
+    std::vector<std::optional<std::vector<std::uint16_t>>> results(
+        chunk.size());
     core::PredictStageSeconds stage_seconds;
     const std::uint64_t chunk_start_ns = measured ? obs::now_ns() : 0;
-    try {
-      registry_.with_model(chunk.user_id, [&](core::DeployedModel& model) {
+    bool served = false;
+    if (deployed) {
+      std::vector<core::SharedRow> rows;
+      rows.reserve(chunk.size());
+      for (const std::size_t i : chunk) {
+        rows.push_back({deployments[i].get(), &items[i].request.window,
+                        items[i].request.k});
+      }
+      try {
         const Stopwatch watch;
-        model_version = model.model_version();
-        results = model.predict_top_k_batch(
-            windows, chunk.k, measured ? &stage_seconds : nullptr);
-        stats_.record_batch(windows.size(), watch.seconds());
-      });
-    } catch (...) {
-      // Not deployed (registry's out_of_range) or the deployment rejected
-      // the batch (e.g. a window outside the model's encoding domain).
-      // Swallowing everything here is deliberate: an exception escaping a
-      // drain would otherwise tear down the drainer thread (std::terminate)
-      // and leave every outstanding future hanging. The requests in this
-      // chunk are answered ok = false instead.
-      ok = false;
+        results = core::DeployedModel::predict_top_k_shared(
+            rows, measured ? &stage_seconds : nullptr);
+        const auto ok_rows = static_cast<std::size_t>(
+            std::count_if(results.begin(), results.end(),
+                          [](const auto& result) { return result.has_value(); }));
+        if (ok_rows > 0) stats_.record_batch(ok_rows, watch.seconds());
+        served = ok_rows > 0;
+      } catch (...) {
+        // Swallowing everything here is deliberate: an exception escaping a
+        // drain would otherwise tear down the drainer thread
+        // (std::terminate) and leave every outstanding future hanging. The
+        // chunk's rows are answered ok = false instead.
+        results.assign(chunk.size(), std::nullopt);
+      }
     }
 
-    if (measured && ok) {
+    if (measured && served) {
       // Chunk-level stage costs recorded once per forward, not per row: the
       // histogram then answers "what does a forward cost at this stage",
       // which is the number a batching engine can act on.
@@ -305,17 +335,21 @@ void BatchScheduler::execute(std::vector<Pending> items) {
     }
 
     const Clock::time_point now = Clock::now();
-    for (std::size_t j = 0; j < chunk.indices.size(); ++j) {
-      Pending& pending = items[chunk.indices[j]];
+    for (std::size_t j = 0; j < chunk.size(); ++j) {
+      Pending& pending = items[chunk[j]];
       PredictResponse response;
-      response.user_id = chunk.user_id;
-      response.ok = ok;
-      response.model_version = model_version;
-      if (ok) response.locations = std::move(results[j]);
+      response.user_id = pending.request.user_id;
+      // A row for an undeployed user, or whose window lies outside its
+      // model's domain, fails alone.
+      response.ok = results[j].has_value();
+      if (deployed) {
+        response.model_version = deployments[chunk[j]]->model_version();
+      }
+      if (response.ok) response.locations = std::move(*results[j]);
       response.latency_ms =
           std::chrono::duration<double, std::milli>(now - pending.enqueued)
               .count();
-      if (ok) {
+      if (response.ok) {
         stats_.record_request(response.latency_ms);
       } else {
         stats_.record_rejected();
@@ -356,7 +390,7 @@ void BatchScheduler::execute(std::vector<Pending> items) {
           traces_.finish(pending.request.trace_id, response.latency_ms);
         }
       }
-      pending.promise.set_value(std::move(response));
+      deliver(pending, std::move(response));
     }
   });
 }

@@ -2,21 +2,28 @@
 // batched, parallel forwards over the DeploymentRegistry.
 //
 // Requests enter a bounded queue (submit) or arrive as a ready-made span
-// (serve). The scheduler coalesces requests that target the same deployment
-// into one multi-row predict_top_k_batch call — one LSTM forward serves B
-// queries — under a max-batch / max-delay policy: a drain fires as soon as a
-// full batch is queued, or when the oldest request has waited max_delay,
-// whichever comes first. Drains execute across ThreadPool::global(), one
-// coalesced batch per task, while per-deployment serve locks keep each model
-// single-threaded. The pool is sized to the CPUs the process may use, so
-// distinct users' batches run in parallel only when there are CPUs to run
-// them on; a process confined to one CPU runs its batches inline.
+// (serve). A drain snapshots each row's deployment and coalesces rows ACROSS
+// users: rows whose models share their first layer — the registry interns
+// layers, so every user on one frozen trunk shares it — form one batch, and
+// inside the forward (nn::infer_shared) each deeper shared layer again runs
+// once over every row whose model shares it, down to the heads. Each row is
+// encoded against its own user's spec, ranked with its own k, and charged to
+// its own user's query budget; a row for an undeployed user, or whose window
+// lies outside its model's domain, fails alone. The queue drains under a
+// max-batch / max-delay policy: a drain fires as soon as a full batch is
+// queued, or when the oldest request has waited max_delay, whichever comes
+// first. Batches (at most max_batch rows each) execute across
+// ThreadPool::global(), one per task, with no lock around the forward:
+// deployed models are immutable and forward through the const infer(). The
+// pool is sized to the CPUs the process may use, so batches run in parallel
+// only when there are CPUs to run them on; a process confined to one CPU
+// runs its batches inline.
 //
 // Responses are deterministic: batching never reorders or changes results
-// (predict_top_k_batch is bit-identical per row to single queries), so
-// service quality is independent of load, batch size, and shard count.
-// Coalesced batches also ride the kernel fast paths for free:
-// predict_top_k_batch encodes the batch as nn::SparseRows, so each drain's
+// (every kernel is per-row invariant, so a row's answer is bit-identical to
+// its user's own single query), so service quality is independent of load,
+// batch size, batch composition, and shard count. Batches also ride the
+// kernel fast paths for free: rows are encoded as nn::SparseRows, so each
 // forward is nnz row gathers plus the packed GEMM recurrence (README
 // "Performance architecture") — with the same bits as the dense path.
 //
@@ -56,6 +63,7 @@
 #include <future>
 #include <span>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "common/annotations.hpp"
@@ -197,7 +205,9 @@ class BatchScheduler {
 
   struct Pending {
     PredictRequest request;
-    std::promise<PredictResponse> promise;
+    /// Where the answer goes: serve()'s output slot, written in place, or
+    /// submit()'s promise.
+    std::variant<PredictResponse*, std::promise<PredictResponse>> reply;
     Clock::time_point enqueued;
     std::uint64_t submit_ns = 0;    ///< obs::now_ns at submit/serve entry
     std::uint64_t admitted_ns = 0;  ///< obs::now_ns once past admission
@@ -205,9 +215,13 @@ class BatchScheduler {
 
   void drain_loop();
 
-  /// Groups items by (user id, k), chunks groups to max_batch, and runs the
-  /// chunks across the thread pool. Fulfills every promise.
+  /// Snapshots each item's deployment, groups items by their model's first
+  /// layer, chunks groups to max_batch, and runs the chunks across the
+  /// thread pool. Answers every item.
   void execute(std::vector<Pending> items);
+
+  /// Hands `response` to the item's output slot or promise.
+  static void deliver(Pending& pending, PredictResponse response);
 
   /// Answers one request shed by admission control (records stats).
   void answer_rejected(Pending pending);
